@@ -31,6 +31,10 @@ int main(int argc, char** argv) {
               "broadcast (%d PEs, nodes of %d, boundary = %d hops) ==\n",
               n, group, remote_hops);
 
+  // Nodes of 1 PE, or one node spanning the machine, leave no second
+  // level: the shape degrades to the flat tree.
+  const xbgas::HierShape shape{group > 1 && group < n ? std::vector<int>{group}
+                                                      : std::vector<int>{}};
   xbgas::AsciiTable table({"root", "flat tree", "two-level", "speedup"});
   for (int root = 0; root < n; ++root) {
     xbgas::MachineConfig config = xbgas::machine_config_from_cli(args, n);
@@ -50,13 +54,13 @@ int main(int argc, char** argv) {
       // Warm both forwarding sets.
       xbgas::broadcast(buf, src, nelems, 1, root);
       xbgas::xbrtime_barrier();
-      xbgas::hierarchical_broadcast(buf, src, nelems, 1, root, group);
+      xbgas::hier_broadcast(buf, src, nelems, 1, root, shape);
 
       const std::uint64_t t0 = pe.clock().cycles();
       xbgas::broadcast(buf, src, nelems, 1, root);
       xbgas::xbrtime_barrier();
       const std::uint64_t t1 = pe.clock().cycles();
-      xbgas::hierarchical_broadcast(buf, src, nelems, 1, root, group);
+      xbgas::hier_broadcast(buf, src, nelems, 1, root, shape);
       xbgas::xbrtime_barrier();
       const std::uint64_t t2 = pe.clock().cycles();
       if (pe.rank() == 0) {

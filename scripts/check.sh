@@ -40,8 +40,13 @@
 #  14. scaling smoke (docs/SCALING.md): the 256-PE integration suite, the
 #      1024-PE slow smoke, and a bench_scaling run checking the modeled
 #      barrier latency actually grows log-depth, not linearly
-#  15. ASan+UBSan pass (-DXBGAS_SANITIZE=address) over the full test suite
-#  16. ThreadSanitizer pass (-DXBGAS_SANITIZE=thread) over the concurrency-
+#  15. modeled-number exactness: regenerate bench_policy_crossover and
+#      bench_gups (defaults), bench_scaling and bench_osu_sweep (16 and 64
+#      PEs), and require every modeled field to equal the committed
+#      BENCH_*.json bit for bit (host fields — *_host_*, switches, workers
+#      — are skipped)
+#  16. ASan+UBSan pass (-DXBGAS_SANITIZE=address) over the full test suite
+#  17. ThreadSanitizer pass (-DXBGAS_SANITIZE=thread) over the concurrency-
 #      heavy suites: machine (incl. the fiber scheduler), trace, fault, san,
 #      nbi/write-combining, recovery, serving, scaling, partition/
 #      unreachable, and the collectives conformance sweep (blocking and
@@ -54,21 +59,21 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
-echo "== [1/16] tier-1 verify (configure + build + full ctest, -Werror on) =="
+echo "== [1/17] tier-1 verify (configure + build + full ctest, -Werror on) =="
 cmake -B "$BUILD" -S . -DXBGAS_WERROR=ON
 cmake --build "$BUILD" -j
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 
-echo "== [2/16] fast path: unit label only (ctest -L unit) =="
+echo "== [2/17] fast path: unit label only (ctest -L unit) =="
 ctest --test-dir "$BUILD" -L unit --output-on-failure -j "$(nproc)"
 
-echo "== [3/16] observability suite (ctest -R trace) =="
+echo "== [3/17] observability suite (ctest -R trace) =="
 ctest --test-dir "$BUILD" -R trace --output-on-failure
 
-echo "== [4/16] disabled-path overhead guard =="
+echo "== [4/17] disabled-path overhead guard =="
 "$BUILD"/tests/trace/trace_overhead_test
 
-echo "== [5/16] trace + counters smoke (bench_pt2pt) =="
+echo "== [5/17] trace + counters smoke (bench_pt2pt) =="
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 "$BUILD"/bench/bench_pt2pt --trace-out="$TMP/t.json" --counters=json \
@@ -87,7 +92,7 @@ print(f"smoke OK: {len(trace['traceEvents'])} trace events, "
       f"{len(tracks)} PE tracks, {counters['net.messages']} remote RMAs")
 EOF
 
-echo "== [6/16] fault-injection smoke (bench_pt2pt, docs/RESILIENCE.md) =="
+echo "== [6/17] fault-injection smoke (bench_pt2pt, docs/RESILIENCE.md) =="
 "$BUILD"/bench/bench_pt2pt --fault-rma-drop=0.01 --fault-seed=7 \
     --counters=json > "$TMP/fault1.txt"
 "$BUILD"/bench/bench_pt2pt --fault-rma-drop=0.01 --fault-seed=7 \
@@ -107,7 +112,7 @@ print(f"fault smoke OK: {counters['fault.injected.rma_drop']} drops "
       f"absorbed by {counters['rma.retries']} retries, deterministic replay")
 EOF
 
-echo "== [7/16] collective-policy smoke (docs/COLLECTIVES.md) =="
+echo "== [7/17] collective-policy smoke (docs/COLLECTIVES.md) =="
 "$BUILD"/bench/bench_policy_crossover --pes 8 --sizes 16,4096 --reps 1 \
     --json "$TMP/cross.json" > /dev/null
 python3 - "$TMP" <<'EOF'
@@ -124,7 +129,7 @@ print("policy smoke OK: auto flips tree->ring across the crossover and "
       "tracks the faster family")
 EOF
 
-echo "== [8/16] hierarchy + tuner gauntlet (docs/COLLECTIVES.md) =="
+echo "== [8/17] hierarchy + tuner gauntlet (docs/COLLECTIVES.md) =="
 # The engine/tuner test wall: k-nomial schedules, the depth x radix x PE
 # conformance axis (each case under XbrSan full internally), the tuner
 # round-trip, and the three regression suites from this PR's bugfixes.
@@ -176,7 +181,7 @@ for m in machines:
 print("committed BENCH_osu.json OK")
 EOF
 
-echo "== [9/16] XbrSan smoke (docs/SANITIZER.md) =="
+echo "== [9/17] XbrSan smoke (docs/SANITIZER.md) =="
 # Positive: a real workload under full checking finishes with 0 violations.
 "$BUILD"/bench/bench_pt2pt --xbrsan=full --counters=json > "$TMP/san.txt"
 python3 - "$TMP" <<'EOF'
@@ -198,14 +203,14 @@ EOF
 grep -q 'XbrSan\[out_of_bounds\]' "$TMP/san_neg.txt"
 echo "xbrsan negative smoke OK: planted bug detected"
 
-echo "== [10/16] survivor-recovery chaos smoke (bench_chaos) =="
+echo "== [10/17] survivor-recovery chaos smoke (bench_chaos) =="
 # Scripted: the acceptance kill plan (mid-barrier + mid-RMA on 12 PEs).
 "$BUILD"/bench/bench_chaos --pes 12 --rounds 4 \
     --fault-kill 3:barrier:11,7:rma:4
 # Soak: seeded-random kill plans; every seed must recover and verify.
 "$BUILD"/bench/bench_chaos --pes 10 --seeds 8 --rounds 4
 
-echo "== [11/16] serving chaos smoke (bench_serving, docs/SERVING.md) =="
+echo "== [11/17] serving chaos smoke (bench_serving, docs/SERVING.md) =="
 # Scripted: one mid-RMA kill under default transport faults on 12 PEs.
 "$BUILD"/bench/bench_serving --pes 12 --batches 12 --ops-per-batch 32 \
     --fault-kill 5:rma:40
@@ -216,7 +221,7 @@ echo "== [11/16] serving chaos smoke (bench_serving, docs/SERVING.md) =="
 "$BUILD"/bench/bench_serving --pes 10 --batches 12 --ops-per-batch 32 \
     --seeds 4
 
-echo "== [12/16] partition-tolerance smoke (bench_partition, docs/RESILIENCE.md) =="
+echo "== [12/17] partition-tolerance smoke (bench_partition, docs/RESILIENCE.md) =="
 # The both-sides quorum proof and the fail-fast conformance axis: the 64-PE
 # scripted split (majority shrinks + verifies, minority unwinds typed), the
 # unreachable-peer escalation suite, and every blocking op terminating
@@ -249,14 +254,14 @@ print(f"committed BENCH_partition.json OK: {len(data['runs'])} seeded splits, "
       f"every eviction by quorum, bit-identical replays")
 EOF
 
-echo "== [13/16] nbi + write-combining smoke (bench_gups, docs/COLLECTIVES.md) =="
+echo "== [13/17] nbi + write-combining smoke (bench_gups, docs/COLLECTIVES.md) =="
 # The explicit-handle test wall in the main build: request-RMA semantics,
 # the write combiner, the three new XbrSan epochs (negative + positive),
 # the hedged-nbi failover ledger, and the nbi conformance axis — each
 # conformance case runs under XbrSan full internally and asserts zero
 # violations across {auto,tree,ring,hier} x 1-12 PEs.
 ctest --test-dir "$BUILD" \
-    -R '(NbiRequest|WriteCombiner|NbiSan|ConformanceNbi|HedgedNbi)' \
+    -R '(NbiRequest|WriteCombiner|NbiSan|ConformanceNbi|HedgedNbi|NbiDispatch)' \
     --output-on-failure -j "$(nproc)"
 # Self-checking bench: the small-put storm must land bitwise-identical with
 # coalescing on/off at >= 2x fewer modeled cycles, replay deterministically,
@@ -277,7 +282,7 @@ print(f"nbi smoke OK: coalescing {g['speedup']}x over {g['combiner']['flushes']}
       f"flushes, pipelined allreduce {ar['speedup']}x at {ar['n_pes']} PEs")
 EOF
 
-echo "== [14/16] scaling smoke (docs/SCALING.md) =="
+echo "== [14/17] scaling smoke (docs/SCALING.md) =="
 # 256-PE conformance/recovery/chaos cases ride the integration suite; the
 # 1024-PE smoke is its own slow-labeled binary.
 ctest --test-dir "$BUILD" -R 'Scaling' --output-on-failure
@@ -298,13 +303,74 @@ print(f"scaling smoke OK: barrier {points[16]['barrier_cycles']} -> "
       f"{points[1024]['workers']} worker(s)")
 EOF
 
-echo "== [15/16] ASan+UBSan pass (full test suite) =="
+echo "== [15/17] modeled numbers vs committed BENCH files (exact) =="
+# Modeled cycles are deterministic, so a regenerated run must reproduce the
+# committed files exactly; only the host-time fields may move.
+"$BUILD"/bench/bench_policy_crossover --json "$TMP/exact_cross.json" > /dev/null
+"$BUILD"/bench/bench_gups --json "$TMP/exact_gups.json" > /dev/null
+"$BUILD"/bench/bench_scaling --pes 16,64 --json "$TMP/exact_scaling.json" \
+    > /dev/null
+"$BUILD"/bench/bench_osu_sweep --pes 16,64 --json "$TMP/exact_osu.json" \
+    > /dev/null
+python3 - "$TMP" <<'EOF'
+import json, sys
+tmp = sys.argv[1]
+
+def host_field(key):
+    return "_host_" in key or key in ("switches", "workers")
+
+def compare(fresh, committed, where, diffs):
+    """Every modeled leaf of `fresh` must equal `committed`. Lists of
+    per-machine records match on their PE count, so a run over a subset of
+    the committed PE counts is checked against those entries only."""
+    if isinstance(fresh, dict):
+        for key, value in fresh.items():
+            if host_field(key):
+                continue
+            if key not in committed:
+                diffs.append(f"{where}.{key}: not in the committed file")
+                continue
+            compare(value, committed[key], f"{where}.{key}", diffs)
+    elif isinstance(fresh, list):
+        pe_key = next((k for k in ("n_pes", "pes") if fresh and
+                       isinstance(fresh[0], dict) and k in fresh[0]), None)
+        if pe_key is None:
+            if len(fresh) != len(committed):
+                diffs.append(f"{where}: {len(fresh)} entries, committed "
+                             f"{len(committed)}")
+                return
+            for i, (f, c) in enumerate(zip(fresh, committed)):
+                compare(f, c, f"{where}[{i}]", diffs)
+            return
+        by_pes = {c[pe_key]: c for c in committed}
+        for f in fresh:
+            if f[pe_key] not in by_pes:
+                diffs.append(f"{where}: {f[pe_key]} PEs not committed")
+                continue
+            compare(f, by_pes[f[pe_key]], f"{where}[{pe_key}={f[pe_key]}]",
+                    diffs)
+    elif fresh != committed:
+        diffs.append(f"{where}: regenerated {fresh!r}, committed {committed!r}")
+
+diffs = []
+for name, committed in (("cross", "BENCH_policy_crossover.json"),
+                        ("gups", "BENCH_gups.json"),
+                        ("scaling", "BENCH_scaling.json"),
+                        ("osu", "BENCH_osu.json")):
+    compare(json.load(open(f"{tmp}/exact_{name}.json")),
+            json.load(open(committed)), committed, diffs)
+assert not diffs, "modeled numbers moved:\n  " + "\n  ".join(diffs)
+print("modeled exactness OK: policy crossover, gups, scaling (16/64 PEs) and "
+      "osu sweep (16/64 PEs) reproduce the committed BENCH files")
+EOF
+
+echo "== [16/17] ASan+UBSan pass (full test suite) =="
 cmake -B "$BUILD-asan" -S . -DXBGAS_SANITIZE=address -DXBGAS_WERROR=ON \
     -DXBGAS_BUILD_BENCH=OFF -DXBGAS_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD-asan" -j
 ctest --test-dir "$BUILD-asan" --output-on-failure -j "$(nproc)"
 
-echo "== [16/16] TSan pass (machine + sched + trace + fault + san + nbi + recovery + serving + conformance + scaling) =="
+echo "== [17/17] TSan pass (machine + sched + trace + fault + san + nbi + recovery + serving + conformance + scaling) =="
 cmake -B "$BUILD-tsan" -S . -DXBGAS_SANITIZE=thread -DXBGAS_WERROR=ON \
     -DXBGAS_BUILD_BENCH=OFF -DXBGAS_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD-tsan" -j

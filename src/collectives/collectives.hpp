@@ -1,38 +1,59 @@
 #pragma once
 
-// The binomial-tree collectives (paper §4, Algorithms 1-4).
+// The tree collectives (paper §4, Algorithms 1-4) and the one k-nomial
+// executor behind every tree broadcast and reduction.
 //
-// All four share the same skeleton: fetch n_pes and the calling PE's rank,
-// remap to virtual ranks so the root is virtual rank 0 (vrank.hpp), then
-// run ceil(log2 n) masked stages over the binomial tree with a barrier after
-// every stage. Broadcast and scatter walk the tree top-down with put
-// (recursive halving); reduce and gather walk bottom-up with get (recursive
-// doubling). The `vir_rank < vir_part` guard suppresses the phantom
-// partners that appear when n_pes is not a power of two.
+// All share the same skeleton: fetch n_pes and the calling PE's rank, remap
+// to virtual ranks so the root is virtual rank 0 (vrank.hpp), then run the
+// tree's stages with a barrier after every stage. Broadcast and scatter walk
+// the tree top-down with put (recursive halving); reduce and gather walk
+// bottom-up with get (recursive doubling).
+//
+// Broadcast and reduce run the k-nomial schedules of schedule.hpp, edge for
+// edge: the paper's binomial tree (Fig. 3) is their radix-2 case, which is
+// what the public broadcast()/reduce() call. The hierarchy engine
+// (hierarchy.hpp) runs the same executor at every level, and the policy's
+// tree family runs it at any radix. Scatter and gather keep the paper's mask
+// loops: their per-stage message is the partner's whole virtual subtree.
+//
+// Every executor takes one completion mode (CollMode). Blocking issues plain
+// xbr_put/xbr_get and fences every stage. Nbi issues each hop as chunked
+// nonblocking transfers (so the chunks of a stage overlap) and, where the
+// schedule allows it, leaves the final stage unfenced for the caller — the
+// nbi entry points (nbi.hpp) hand that fence back as CollReq::wait.
 //
 // Symmetry requirements (paper §4.3-§4.6):
 //   broadcast: dest symmetric on every PE; src meaningful (and possibly
 //              private) only on the root.
 //   reduce:    src symmetric on every PE; dest meaningful only on the root
 //              and may be private. Internally stages through a symmetric
-//              s_buff and a private l_buff so no user data is overwritten.
+//              contiguous partial buffer so no user data is overwritten.
 //   scatter:   src meaningful only on root; dest private OK. Staged through
 //              a symmetric buffer reordered by *virtual* rank so that every
 //              subtree's data is contiguous and one put per stage suffices
 //              even with a non-zero root (§4.5).
 //   gather:    mirror of scatter (§4.6).
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "collectives/comm.hpp"
 #include "collectives/ops.hpp"
+#include "collectives/schedule.hpp"
 #include "collectives/vrank.hpp"
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "xbrtime/rma.hpp"
 
 namespace xbgas {
+
+/// How a collective schedule completes. kBlocking: plain RMA, every stage
+/// fenced. kNbi: chunked nonblocking hops, and the final stage left
+/// unfenced where the schedule allows it (the executors return whether they
+/// did, so the caller owns that fence).
+enum class CollMode : std::uint8_t { kBlocking, kNbi };
 
 namespace detail {
 
@@ -62,100 +83,258 @@ int collective_prologue(const Communicator& comm, int root, int stride);
 std::vector<std::size_t> adjusted_displacements(const Communicator& comm,
                                                 const int* pe_msgs, int root);
 
+// Defined in nbi.cpp (observability: coll.pipeline.chunks).
+void note_pipeline_chunks(std::size_t n);
+
+/// Chunk count for an nbi hop. With no explicit chunk size the heuristic is
+/// one chunk per 512 elements capped at 8 (small messages stay one
+/// transfer, huge ones don't drown in injection costs); an explicit
+/// `chunk_elems` — the tuner's knob — is honored up to 64 chunks.
+constexpr std::size_t pipeline_chunks(std::size_t nelems,
+                                      std::size_t chunk_elems = 0) {
+  return chunk_elems == 0
+             ? std::clamp<std::size_t>(nelems / 512, 1, 8)
+             : std::clamp<std::size_t>((nelems + chunk_elems - 1) /
+                                           chunk_elems,
+                                       1, 64);
+}
+
+/// One schedule hop of an (nelems, stride) transfer. Blocking: one plain
+/// xbr_put/xbr_get. kNbi: pipeline_chunks() nonblocking pieces tracked as
+/// NbTrack::kInternal — timing only, the enclosing collective owns the
+/// hazard contract, and its next fence settles them.
+template <class T>
+void hop(CollMode mode, bool remote_is_dest, T* dest, const T* src,
+         std::size_t nelems, int stride, int world_pe,
+         std::size_t chunk_elems) {
+  if (mode == CollMode::kBlocking) {
+    if (remote_is_dest) {
+      xbr_put(dest, src, nelems, stride, world_pe);
+    } else {
+      xbr_get(dest, src, nelems, stride, world_pe);
+    }
+    return;
+  }
+  const std::size_t nc = pipeline_chunks(nelems, chunk_elems);
+  for (std::size_t c = 0; c < nc; ++c) {
+    const std::size_t lo = nelems * c / nc;
+    const std::size_t hi = nelems * (c + 1) / nc;
+    if (hi > lo) {
+      const std::size_t at = lo * static_cast<std::size_t>(stride);
+      rma_transfer(dest + at, src + at, sizeof(T), hi - lo, stride, world_pe,
+                   remote_is_dest, /*nonblocking=*/true,
+                   /*atomic_elems=*/false, NbTrack::kInternal);
+    }
+  }
+  note_pipeline_chunks(nc);
+}
+
+template <class T>
+void hop_put(CollMode mode, T* dest, const T* src, std::size_t nelems,
+             int stride, int world_pe, std::size_t chunk_elems = 0) {
+  hop(mode, /*remote_is_dest=*/true, dest, src, nelems, stride, world_pe,
+      chunk_elems);
+}
+
+template <class T>
+void hop_get(CollMode mode, T* dest, const T* src, std::size_t nelems,
+             int stride, int world_pe, std::size_t chunk_elems = 0) {
+  hop(mode, /*remote_is_dest=*/false, dest, src, nelems, stride, world_pe,
+      chunk_elems);
+}
+
+// -- The k-nomial executor (any Communicator, any radix) --------------------
+//
+// Stage spans: kStageBegin/kStageEnd with a = stage index, b = radix.
+
+/// Top-down k-nomial broadcast over `comm` with the xbgas::broadcast
+/// contract. Returns true when the final stage was left unfenced (kNbi on
+/// more than one PE): the caller owns that fence.
+template <class T>
+bool knomial_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
+                       int root, int radix, Communicator& comm,
+                       CollMode mode = CollMode::kBlocking,
+                       std::size_t chunk = 0) {
+  const int vr = collective_prologue(comm, root, stride);
+  const int n = comm.n_pes();
+  if (vr == 0 && nelems > 0 && dest != src) {
+    xbr_put(dest, src, nelems, stride, comm.world_rank(comm.rank()));
+  }
+  if (n == 1) return false;
+
+  PeContext& ctx = xbrtime_ctx();
+  const auto edges = knomial_broadcast_schedule(n, radix);
+  const int stages = knomial_stages(n, radix);
+  const bool defer_last = mode == CollMode::kNbi;
+  std::size_t e = 0;
+  for (int s = 0; s < stages; ++s) {
+    ctx.trace().record(EventKind::kStageBegin, -1,
+                       static_cast<std::uint64_t>(s),
+                       static_cast<std::uint64_t>(radix));
+    for (; e < edges.size() && edges[e].stage == s; ++e) {
+      if (edges[e].from_vrank != vr || nelems == 0) continue;
+      const int lpart = logical_rank(edges[e].to_vrank, root, n);
+      // Senders past the first stage forward from their own dest; the root
+      // sends directly from src.
+      const T* from = (vr == 0) ? src : dest;
+      hop_put(mode, dest, from, nelems, stride, comm.world_rank(lpart), chunk);
+    }
+    if (!(defer_last && s == stages - 1)) comm.barrier();
+    ctx.trace().record(EventKind::kStageEnd, -1,
+                       static_cast<std::uint64_t>(s),
+                       static_cast<std::uint64_t>(radix));
+  }
+  return defer_last;
+}
+
+/// Bottom-up k-nomial reduction over a symmetric CONTIGUOUS partial buffer
+/// (each PE's `part` holds its packed contribution on entry; the comm's
+/// vrank-0 PE holds the combined result on return). Every stage is fenced
+/// in both modes. kNbi gets land host-side at issue, so the combine overlaps
+/// the modeled flight and each stage settles to max(transfer, combine) at
+/// its barrier.
+template <class Op, class T>
+void knomial_reduce_part(T* part, std::size_t nelems, int root, int radix,
+                         Communicator& comm,
+                         CollMode mode = CollMode::kBlocking,
+                         std::size_t chunk = 0) {
+  const int vr = collective_prologue(comm, root, /*stride=*/1);
+  const int n = comm.n_pes();
+  comm.barrier();  // all parts settled before any parent pulls
+  if (n == 1) return;
+
+  PeContext& ctx = xbrtime_ctx();
+  std::vector<T> land(nelems);
+  const auto edges = knomial_reduce_schedule(n, radix);
+  const int stages = knomial_stages(n, radix);
+  std::size_t e = 0;
+  for (int s = 0; s < stages; ++s) {
+    ctx.trace().record(EventKind::kStageBegin, -1,
+                       static_cast<std::uint64_t>(s),
+                       static_cast<std::uint64_t>(radix));
+    for (; e < edges.size() && edges[e].stage == s; ++e) {
+      if (edges[e].to_vrank != vr || nelems == 0) continue;
+      const int lpart = logical_rank(edges[e].from_vrank, root, n);
+      hop_get(mode, land.data(), part, nelems, 1, comm.world_rank(lpart),
+              chunk);
+      for (std::size_t j = 0; j < nelems; ++j) {
+        part[j] = Op::apply(part[j], land[j]);
+      }
+      ctx.clock().advance(kReduceOpCycles * nelems);
+    }
+    comm.barrier();  // parent's combined part visible to the next stage
+    ctx.trace().record(EventKind::kStageEnd, -1,
+                       static_cast<std::uint64_t>(s),
+                       static_cast<std::uint64_t>(radix));
+  }
+}
+
+/// k-nomial reduction with the xbgas::reduce contract (dest meaningful on
+/// the comm-rank `root` only, src untouched): pack into a symmetric
+/// contiguous partial, climb the tree, unpack at the root. Complete at
+/// return in both modes.
+template <class Op, class T>
+void knomial_reduce(T* dest, const T* src, std::size_t nelems, int stride,
+                    int root, int radix, Communicator& comm,
+                    CollMode mode = CollMode::kBlocking,
+                    std::size_t chunk = 0) {
+  (void)collective_prologue(comm, root, stride);
+  T* part = static_cast<T*>(
+      collective_staging_alloc(sizeof(T), std::max<std::size_t>(nelems, 1)));
+  for (std::size_t j = 0; j < nelems; ++j) {
+    part[j] = src[j * static_cast<std::size_t>(stride)];
+  }
+  knomial_reduce_part<Op>(part, nelems, root, radix, comm, mode, chunk);
+  if (comm.rank() == root) {
+    for (std::size_t j = 0; j < nelems; ++j) {
+      dest[j * static_cast<std::size_t>(stride)] = part[j];
+    }
+  }
+  collective_staging_free(part);
+}
+
+/// Bottom-up k-nomial block gather for fcollect. Team rank r is world PE
+/// `start + r*sub` and enters holding the `sub` world-rank blocks
+/// [start + r*sub, start + (r+1)*sub) contiguously in its own dest; team
+/// rank 0 exits holding all `size*sub` blocks. Gets are self-symmetric
+/// (dest offset == src offset), mirroring gather (Algorithm 4).
+template <class T>
+void knomial_gather_blocks(T* dest, std::size_t per, int start, int sub,
+                           int radix, Communicator& comm) {
+  const int m = comm.n_pes();
+  const int vr = comm.rank();  // rooted at team rank 0: no vrank remap
+  comm.barrier();  // lower-level accumulations settled before pulls
+  if (m == 1) return;
+
+  PeContext& ctx = xbrtime_ctx();
+  const auto edges = knomial_reduce_schedule(m, radix);
+  const int stages = knomial_stages(m, radix);
+  std::size_t e = 0;
+  long long width = 1;  // accumulated subtree width (team ranks) at stage s
+  for (int s = 0; s < stages; ++s) {
+    ctx.trace().record(EventKind::kStageBegin, -1,
+                       static_cast<std::uint64_t>(s),
+                       static_cast<std::uint64_t>(radix));
+    for (; e < edges.size() && edges[e].stage == s; ++e) {
+      if (edges[e].to_vrank != vr || per == 0) continue;
+      const int child = edges[e].from_vrank;
+      const long long got = std::min<long long>(width, m - child);
+      const std::size_t off =
+          (static_cast<std::size_t>(start) +
+           static_cast<std::size_t>(child) * static_cast<std::size_t>(sub)) *
+          per;
+      xbr_get(dest + off, dest + off,
+              static_cast<std::size_t>(got) * static_cast<std::size_t>(sub) *
+                  per,
+              1, comm.world_rank(child));
+    }
+    comm.barrier();
+    width *= radix;
+    ctx.trace().record(EventKind::kStageEnd, -1,
+                       static_cast<std::uint64_t>(s),
+                       static_cast<std::uint64_t>(radix));
+  }
+}
+
+/// k-nomial allgather (fcollect contract: dest symmetric, n_pes * per
+/// elements; src may be private): every PE deposits its own block, the
+/// blocks climb the tree to rank 0, and the concatenation broadcasts back
+/// down. Returns knomial_broadcast's deferred-fence flag.
+template <class T>
+bool knomial_fcollect(T* dest, const T* src, std::size_t per, int radix,
+                      Communicator& comm,
+                      CollMode mode = CollMode::kBlocking,
+                      std::size_t chunk = 0) {
+  const int me = comm.rank();
+  if (per > 0 && dest + static_cast<std::size_t>(me) * per != src) {
+    xbr_put(dest + static_cast<std::size_t>(me) * per, src, per, 1,
+            comm.world_rank(me));
+  }
+  knomial_gather_blocks(dest, per, /*start=*/0, /*sub=*/1, radix, comm);
+  return knomial_broadcast(dest, dest,
+                           per * static_cast<std::size_t>(comm.n_pes()),
+                           /*stride=*/1, /*root=*/0, radix, comm, mode, chunk);
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Broadcast (Algorithm 1)
+// Broadcast (Algorithm 1) and reduction (Algorithm 2): the binomial tree,
+// i.e. the radix-2 k-nomial schedule
 // ---------------------------------------------------------------------------
 
 template <class T>
 void broadcast(T* dest, const T* src, std::size_t nelems, int stride, int root,
                Communicator& comm = world_comm()) {
-  const int vr = detail::collective_prologue(comm, root, stride);
-  const int n = comm.n_pes();
-
-  // The root's own dest copy (implicit in the paper: dest holds the
-  // broadcast values on *each* PE, including the root).
-  if (vr == 0 && nelems > 0 && dest != src) {
-    xbr_put(dest, src, nelems, stride, comm.world_rank(comm.rank()));
-  }
-
-  PeContext& ctx = xbrtime_ctx();
-  const auto levels = ceil_log2(static_cast<std::uint64_t>(n));
-  unsigned mask = (1u << levels) - 1u;
-  const auto uvr = static_cast<unsigned>(vr);
-  std::uint64_t stage = 0;
-  for (int i = static_cast<int>(levels) - 1; i >= 0; --i) {
-    mask ^= (1u << i);
-    ctx.trace().record(EventKind::kStageBegin, -1, stage, mask);
-    if ((uvr & mask) == 0 && (uvr & (1u << i)) == 0) {
-      const int vpart = static_cast<int>(uvr ^ (1u << i)) % n;
-      const int lpart = logical_rank(vpart, root, n);
-      if (vr < vpart && nelems > 0) {
-        // Senders past the first stage forward from their own dest; the
-        // root sends directly from src.
-        const T* from = (vr == 0) ? src : dest;
-        xbr_put(dest, from, nelems, stride, comm.world_rank(lpart));
-      }
-    }
-    comm.barrier();  // per-stage synchronization (paper §4.3)
-    ctx.trace().record(EventKind::kStageEnd, -1, stage, mask);
-    ++stage;
-  }
+  detail::knomial_broadcast(dest, src, nelems, stride, root, /*radix=*/2,
+                            comm);
 }
-
-// ---------------------------------------------------------------------------
-// Reduction (Algorithm 2)
-// ---------------------------------------------------------------------------
 
 template <class Op, class T>
 void reduce(T* dest, const T* src, std::size_t nelems, int stride, int root,
             Communicator& comm = world_comm()) {
-  const int vr = detail::collective_prologue(comm, root, stride);
-  const int n = comm.n_pes();
-  const std::size_t span = detail::strided_span(nelems, stride);
-
-  // s_buff: symmetric staging so partners can get() partial results.
-  // l_buff: private landing zone so no PE's live data is overwritten.
-  T* s_buff = static_cast<T*>(detail::collective_staging_alloc(sizeof(T), span));
-  std::vector<T> l_buff(span);
-
-  for (std::size_t j = 0; j < nelems; ++j) {
-    const std::size_t at = j * static_cast<std::size_t>(stride);
-    s_buff[at] = src[at];
-  }
-  comm.barrier();  // all s_buffs loaded before any partner pulls
-
-  PeContext& ctx = xbrtime_ctx();
-  const auto levels = ceil_log2(static_cast<std::uint64_t>(n));
-  unsigned mask = (1u << levels) - 1u;
-  const auto uvr = static_cast<unsigned>(vr);
-  for (unsigned i = 0; i < levels; ++i) {
-    mask ^= (1u << i);
-    ctx.trace().record(EventKind::kStageBegin, -1, i, mask);
-    if ((uvr | mask) == mask && (uvr & (1u << i)) == 0) {
-      const int vpart = static_cast<int>(uvr ^ (1u << i)) % n;
-      const int lpart = logical_rank(vpart, root, n);
-      if (vr < vpart && nelems > 0) {
-        xbr_get(l_buff.data(), s_buff, nelems, stride, comm.world_rank(lpart));
-        for (std::size_t j = 0; j < nelems; ++j) {
-          const std::size_t at = j * static_cast<std::size_t>(stride);
-          s_buff[at] = Op::apply(s_buff[at], l_buff[at]);
-        }
-        ctx.clock().advance(detail::kReduceOpCycles * nelems);
-      }
-    }
-    comm.barrier();
-    ctx.trace().record(EventKind::kStageEnd, -1, i, mask);
-  }
-
-  if (vr == 0) {
-    for (std::size_t k = 0; k < nelems; ++k) {
-      const std::size_t at = k * static_cast<std::size_t>(stride);
-      dest[at] = s_buff[at];
-    }
-  }
-  detail::collective_staging_free(s_buff);
+  detail::knomial_reduce<Op>(dest, src, nelems, stride, root, /*radix=*/2,
+                             comm);
 }
 
 template <class T>

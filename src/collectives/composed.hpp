@@ -10,8 +10,8 @@
 // future work (§7):
 //
 //   reduce_all  — reduction whose result lands on every PE (reduce+bcast)
-//   collect     — variable-count allgather (gather+bcast)
-//   fcollect    — fixed-count allgather
+//   collect     — variable-count allgather (the paper's gather+bcast)
+//   fcollect    — fixed-count allgather (policy-routed)
 //   alltoall    — personalized all-to-all exchange (pairwise puts)
 //
 // reduce_all and fcollect route through the CollectivePolicy dispatcher
@@ -54,9 +54,9 @@ void collect(T* dest, const T* src, const int* pe_msgs, const int* pe_disp,
 
 /// Fixed-count gather-to-all (OpenSHMEM `fcollect`): every PE contributes
 /// exactly `nelems_per_pe` elements; dest must hold n_pes * nelems_per_pe.
-/// Algorithm chosen by the active CollectivePolicy (gather+bcast tree or
-/// ring allgather). The total element count must fit in int because the
-/// gather path's per-PE displacements are int (OpenSHMEM ABI).
+/// Algorithm chosen by the active CollectivePolicy (k-nomial block gather +
+/// bcast, ring allgather, or the hierarchy). The total element count must
+/// fit in int, like collect()'s int displacements (OpenSHMEM ABI).
 template <class T>
 void fcollect(T* dest, const T* src, std::size_t nelems_per_pe,
               Communicator& comm = world_comm()) {

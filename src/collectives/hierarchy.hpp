@@ -15,7 +15,7 @@
 //
 // so a broadcast crosses the expensive outer links once per outer group and
 // fans out over progressively cheaper links, and a reduce runs the mirror
-// bottom-up. Every level runs the k-nomial schedule from schedule.hpp with
+// bottom-up. Every level runs the k-nomial executor (collectives.hpp) with
 // a tunable radix (radix 2 is the paper's binomial tree), and
 // synchronization is scoped to the level's Team — no world barriers, so
 // disjoint subtrees of the hierarchy proceed independently.
@@ -27,17 +27,18 @@
 // (the put is ordered by the pair's barrier, and the root never writes its
 // own dest — that write belongs to its innermost-level sender).
 //
-// Every entry point has a `pipelined` form (internal hops issued as chunked
-// nonblocking transfers, chunk size tunable) and a `defer_tail` form (the
-// innermost level's final stage skips its barrier so the caller — the nbi
-// dispatch layer — can return a live CollReq whose wait() is the fence).
+// Every entry point takes a completion mode (CollMode, collectives.hpp).
+// kNbi issues every level's hops as chunked nonblocking transfers (chunk
+// size tunable) and leaves the innermost level's final stage unfenced, so
+// the caller — the nbi dispatch layer — can return a live CollReq whose
+// wait() is the fence. Outer levels are always fenced: the next level
+// forwards what they delivered.
 
 #include <algorithm>
 #include <cstddef>
 #include <vector>
 
 #include "collectives/collectives.hpp"
-#include "collectives/schedule.hpp"
 #include "collectives/team.hpp"
 
 namespace xbgas {
@@ -72,210 +73,6 @@ struct HierLevel {
 std::vector<HierLevel> hier_levels(const std::vector<int>& groups, int n_pes,
                                    int me);
 
-// Defined in nbi.cpp (observability: coll.pipeline.chunks).
-void note_pipeline_chunks(std::size_t n);
-
-/// Chunk count for pipelined internal hops. With no explicit chunk size the
-/// heuristic is one chunk per 512 elements capped at 8 (small messages stay
-/// one transfer, huge ones don't drown in injection costs); an explicit
-/// `chunk_elems` — the tuner's knob — is honored up to 64 chunks.
-constexpr std::size_t pipeline_chunks(std::size_t nelems,
-                                      std::size_t chunk_elems = 0) {
-  return chunk_elems == 0
-             ? std::clamp<std::size_t>(nelems / 512, 1, 8)
-             : std::clamp<std::size_t>((nelems + chunk_elems - 1) /
-                                           chunk_elems,
-                                       1, 64);
-}
-
-/// One internal pipelined hop: the (nelems, stride) transfer split into
-/// pipeline_chunks() nonblocking pieces (NbTrack::kInternal — timing only,
-/// the enclosing collective owns the hazard contract).
-template <class T>
-void nbi_put_chunks(T* dest, const T* src, std::size_t nelems, int stride,
-                    int world_pe, std::size_t chunk_elems = 0) {
-  const std::size_t nc = pipeline_chunks(nelems, chunk_elems);
-  for (std::size_t c = 0; c < nc; ++c) {
-    const std::size_t lo = nelems * c / nc;
-    const std::size_t hi = nelems * (c + 1) / nc;
-    if (hi > lo) {
-      const std::size_t at = lo * static_cast<std::size_t>(stride);
-      rma_transfer(dest + at, src + at, sizeof(T), hi - lo, stride, world_pe,
-                   /*remote_is_dest=*/true, /*nonblocking=*/true,
-                   /*atomic_elems=*/false, NbTrack::kInternal);
-    }
-  }
-  note_pipeline_chunks(nc);
-}
-
-template <class T>
-void nbi_get_chunks(T* dest, const T* src, std::size_t nelems, int stride,
-                    int world_pe, std::size_t chunk_elems = 0) {
-  const std::size_t nc = pipeline_chunks(nelems, chunk_elems);
-  for (std::size_t c = 0; c < nc; ++c) {
-    const std::size_t lo = nelems * c / nc;
-    const std::size_t hi = nelems * (c + 1) / nc;
-    if (hi > lo) {
-      const std::size_t at = lo * static_cast<std::size_t>(stride);
-      rma_transfer(dest + at, src + at, sizeof(T), hi - lo, stride, world_pe,
-                   /*remote_is_dest=*/false, /*nonblocking=*/true,
-                   /*atomic_elems=*/false, NbTrack::kInternal);
-    }
-  }
-  note_pipeline_chunks(nc);
-}
-
-// -- Single-level k-nomial primitives (any Communicator) --------------------
-
-/// Top-down k-nomial broadcast over `comm` with the xbgas::broadcast
-/// contract. With `defer_last` the FINAL stage's puts are left unfenced for
-/// the caller (nbi tail); every earlier stage barriers as usual.
-template <class T>
-void knomial_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
-                       int root, int radix, Communicator& comm,
-                       bool pipelined = false, bool defer_last = false,
-                       std::size_t chunk = 0) {
-  const int vr = collective_prologue(comm, root, stride);
-  const int n = comm.n_pes();
-  if (vr == 0 && nelems > 0 && dest != src) {
-    xbr_put(dest, src, nelems, stride, comm.world_rank(comm.rank()));
-  }
-  if (n == 1) return;
-
-  PeContext& ctx = xbrtime_ctx();
-  const auto edges = knomial_broadcast_schedule(n, radix);
-  const int stages = knomial_stages(n, radix);
-  std::size_t e = 0;
-  for (int s = 0; s < stages; ++s) {
-    ctx.trace().record(EventKind::kStageBegin, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-    for (; e < edges.size() && edges[e].stage == s; ++e) {
-      if (edges[e].from_vrank != vr || nelems == 0) continue;
-      const int lpart = logical_rank(edges[e].to_vrank, root, n);
-      const T* from = (vr == 0) ? src : dest;
-      if (pipelined) {
-        nbi_put_chunks(dest, from, nelems, stride, comm.world_rank(lpart),
-                       chunk);
-      } else {
-        xbr_put(dest, from, nelems, stride, comm.world_rank(lpart));
-      }
-    }
-    if (!(defer_last && s == stages - 1)) comm.barrier();
-    ctx.trace().record(EventKind::kStageEnd, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-  }
-}
-
-/// Bottom-up k-nomial reduction over a symmetric CONTIGUOUS partial buffer
-/// (each PE's `part` holds its packed contribution on entry; the team's
-/// vrank-0 PE holds the combined result on return). Pipelined gets land
-/// host-side at issue, so the combine overlaps the modeled flight and each
-/// stage settles to max(transfer, combine) at its barrier.
-template <class Op, class T>
-void knomial_reduce_part(T* part, std::size_t nelems, int root, int radix,
-                         Communicator& comm, bool pipelined = false,
-                         std::size_t chunk = 0) {
-  const int vr = collective_prologue(comm, root, /*stride=*/1);
-  const int n = comm.n_pes();
-  comm.barrier();  // all parts settled before any parent pulls
-  if (n == 1) return;
-
-  PeContext& ctx = xbrtime_ctx();
-  std::vector<T> land(nelems);
-  const auto edges = knomial_reduce_schedule(n, radix);
-  const int stages = knomial_stages(n, radix);
-  std::size_t e = 0;
-  for (int s = 0; s < stages; ++s) {
-    ctx.trace().record(EventKind::kStageBegin, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-    for (; e < edges.size() && edges[e].stage == s; ++e) {
-      if (edges[e].to_vrank != vr || nelems == 0) continue;
-      const int lpart = logical_rank(edges[e].from_vrank, root, n);
-      if (pipelined) {
-        nbi_get_chunks(land.data(), part, nelems, 1, comm.world_rank(lpart),
-                       chunk);
-      } else {
-        xbr_get(land.data(), part, nelems, 1, comm.world_rank(lpart));
-      }
-      for (std::size_t j = 0; j < nelems; ++j) {
-        part[j] = Op::apply(part[j], land[j]);
-      }
-      ctx.clock().advance(kReduceOpCycles * nelems);
-    }
-    comm.barrier();  // parent's combined part visible to the next stage
-    ctx.trace().record(EventKind::kStageEnd, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-  }
-}
-
-/// k-nomial reduction with the xbgas::reduce contract (dest meaningful on
-/// the comm-rank `root` only, src untouched): pack into a symmetric
-/// contiguous partial, climb the tree, unpack at the root.
-template <class Op, class T>
-void knomial_reduce(T* dest, const T* src, std::size_t nelems, int stride,
-                    int root, int radix, Communicator& comm,
-                    bool pipelined = false, std::size_t chunk = 0) {
-  T* part = static_cast<T*>(
-      collective_staging_alloc(sizeof(T), std::max<std::size_t>(nelems, 1)));
-  for (std::size_t j = 0; j < nelems; ++j) {
-    part[j] = src[j * static_cast<std::size_t>(stride)];
-  }
-  knomial_reduce_part<Op>(part, nelems, root, radix, comm, pipelined, chunk);
-  if (comm.rank() == root) {
-    for (std::size_t j = 0; j < nelems; ++j) {
-      dest[j * static_cast<std::size_t>(stride)] = part[j];
-    }
-  }
-  collective_staging_free(part);
-}
-
-/// Bottom-up k-nomial block gather for fcollect. Team rank r is world PE
-/// `start + r*sub` and enters holding the `sub` world-rank blocks
-/// [start + r*sub, start + (r+1)*sub) contiguously in its own dest; team
-/// rank 0 exits holding all `size*sub` blocks. Gets are self-symmetric
-/// (dest offset == src offset), mirroring gather (Algorithm 4).
-template <class T>
-void knomial_gather_blocks(T* dest, std::size_t per, int start, int sub,
-                           int radix, Communicator& comm) {
-  const int m = comm.n_pes();
-  const int vr = comm.rank();  // rooted at team rank 0: no vrank remap
-  comm.barrier();  // lower-level accumulations settled before pulls
-  if (m == 1) return;
-
-  PeContext& ctx = xbrtime_ctx();
-  const auto edges = knomial_reduce_schedule(m, radix);
-  const int stages = knomial_stages(m, radix);
-  std::size_t e = 0;
-  long long width = 1;  // accumulated subtree width (team ranks) at stage s
-  for (int s = 0; s < stages; ++s) {
-    ctx.trace().record(EventKind::kStageBegin, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-    for (; e < edges.size() && edges[e].stage == s; ++e) {
-      if (edges[e].to_vrank != vr || per == 0) continue;
-      const int child = edges[e].from_vrank;
-      const long long got = std::min<long long>(width, m - child);
-      const std::size_t off =
-          (static_cast<std::size_t>(start) +
-           static_cast<std::size_t>(child) * static_cast<std::size_t>(sub)) *
-          per;
-      xbr_get(dest + off, dest + off,
-              static_cast<std::size_t>(got) * static_cast<std::size_t>(sub) *
-                  per,
-              1, comm.world_rank(child));
-    }
-    comm.barrier();
-    width *= radix;
-    ctx.trace().record(EventKind::kStageEnd, -1,
-                       static_cast<std::uint64_t>(s),
-                       static_cast<std::uint64_t>(radix));
-  }
-}
-
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -283,20 +80,20 @@ void knomial_gather_blocks(T* dest, std::size_t per, int start, int sub,
 // collectives over the whole world)
 // ---------------------------------------------------------------------------
 
-/// Hierarchical broadcast. With `defer_tail` the innermost level's final
-/// stage is left unfenced — the caller owns the fence (CollReq::wait).
+/// Hierarchical broadcast. Returns true when the innermost level's final
+/// stage was left unfenced (kNbi): the caller owns that fence
+/// (CollReq::wait).
 template <class T>
-void hier_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
-                    int root, const HierShape& shape, bool pipelined = false,
-                    bool defer_tail = false) {
+bool hier_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
+                    int root, const HierShape& shape,
+                    CollMode mode = CollMode::kBlocking) {
   PeContext& ctx = xbrtime_ctx();
   const int n = ctx.n_pes();
   validate_hier_shape(shape, n);
   if (shape.groups.empty()) {
-    detail::knomial_broadcast(dest, src, nelems, stride, root, shape.radix,
-                              world_comm(), pipelined, defer_tail,
-                              shape.chunk);
-    return;
+    return detail::knomial_broadcast(dest, src, nelems, stride, root,
+                                     shape.radix, world_comm(), mode,
+                                     shape.chunk);
   }
 
   const int me = ctx.rank();
@@ -321,24 +118,33 @@ void hier_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
     }
   }
 
+  bool deferred = false;
   const auto levels = detail::hier_levels(shape.groups, n, me);
   for (std::size_t l = 0; l < levels.size(); ++l) {
     const auto& lv = levels[l];
     if (!lv.member) continue;
-    const bool innermost = l + 1 == levels.size();
     Team team(lv.start, lv.stride, lv.size);
     const int team_root = l == 0 ? top_leader / g_top : 0;
-    detail::knomial_broadcast(dest, dest, nelems, stride, team_root,
-                              shape.radix, team, pipelined,
-                              defer_tail && innermost, shape.chunk);
+    deferred = detail::knomial_broadcast(dest, dest, nelems, stride,
+                                         team_root, shape.radix, team, mode,
+                                         shape.chunk);
+    // Only the innermost level's tail may stay open: the next level
+    // forwards what this one delivered.
+    if (deferred && l + 1 < levels.size()) {
+      team.barrier();
+      deferred = false;
+    }
   }
+  return deferred;
 }
 
 /// Hierarchical reduction: packed partials climb the level stack bottom-up;
-/// `dest` is meaningful only on `root` (and may be private).
+/// `dest` is meaningful only on `root` (and may be private). Complete at
+/// return in both modes.
 template <class Op, class T>
 void hier_reduce(T* dest, const T* src, std::size_t nelems, int stride,
-                 int root, const HierShape& shape, bool pipelined = false) {
+                 int root, const HierShape& shape,
+                 CollMode mode = CollMode::kBlocking) {
   PeContext& ctx = xbrtime_ctx();
   const int n = ctx.n_pes();
   validate_hier_shape(shape, n);
@@ -346,7 +152,7 @@ void hier_reduce(T* dest, const T* src, std::size_t nelems, int stride,
 
   if (shape.groups.empty()) {
     detail::knomial_reduce<Op>(dest, src, nelems, stride, root, shape.radix,
-                               world_comm(), pipelined, shape.chunk);
+                               world_comm(), mode, shape.chunk);
     return;
   }
 
@@ -365,7 +171,7 @@ void hier_reduce(T* dest, const T* src, std::size_t nelems, int stride,
     Team team(lv.start, lv.stride, lv.size);
     const int team_root = l == 0 ? top_leader / g_top : 0;
     detail::knomial_reduce_part<Op>(part, nelems, team_root, shape.radix,
-                                    team, pipelined, shape.chunk);
+                                    team, mode, shape.chunk);
   }
 
   // Handoff: combined result moves from the top-level leader to the root's
@@ -387,42 +193,35 @@ void hier_reduce(T* dest, const T* src, std::size_t nelems, int stride,
 }
 
 /// Hierarchical allreduce: reduce to world rank 0 then broadcast back down.
+/// Returns hier_broadcast's deferred-fence flag.
 template <class Op, class T>
-void hier_reduce_all(T* dest, const T* src, std::size_t nelems, int stride,
-                     const HierShape& shape, bool pipelined = false,
-                     bool defer_tail = false) {
-  hier_reduce<Op>(dest, src, nelems, stride, /*root=*/0, shape, pipelined);
-  hier_broadcast(dest, dest, nelems, stride, /*root=*/0, shape, pipelined,
-                 defer_tail);
+bool hier_reduce_all(T* dest, const T* src, std::size_t nelems, int stride,
+                     const HierShape& shape,
+                     CollMode mode = CollMode::kBlocking) {
+  hier_reduce<Op>(dest, src, nelems, stride, /*root=*/0, shape, mode);
+  return hier_broadcast(dest, dest, nelems, stride, /*root=*/0, shape, mode);
 }
 
 /// Hierarchical fcollect: per-PE blocks climb the level stack (block gather
-/// to world rank 0), then the concatenation broadcasts back down.
+/// to world rank 0), then the concatenation broadcasts back down. Returns
+/// hier_broadcast's deferred-fence flag.
 template <class T>
-void hier_fcollect(T* dest, const T* src, std::size_t nelems_per_pe,
-                   const HierShape& shape, bool pipelined = false,
-                   bool defer_tail = false) {
+bool hier_fcollect(T* dest, const T* src, std::size_t nelems_per_pe,
+                   const HierShape& shape,
+                   CollMode mode = CollMode::kBlocking) {
   PeContext& ctx = xbrtime_ctx();
   const int n = ctx.n_pes();
   validate_hier_shape(shape, n);
-  const int me = ctx.rank();
   const std::size_t per = nelems_per_pe;
-  const std::size_t total = per * static_cast<std::size_t>(n);
+  if (shape.groups.empty()) {
+    return detail::knomial_fcollect(dest, src, per, shape.radix, world_comm(),
+                                    mode, shape.chunk);
+  }
 
+  const int me = ctx.rank();
   if (per > 0 && dest + static_cast<std::size_t>(me) * per != src) {
     xbr_put(dest + static_cast<std::size_t>(me) * per, src, per, 1, me);
   }
-
-  if (shape.groups.empty()) {
-    Communicator& world = world_comm();
-    detail::knomial_gather_blocks(dest, per, /*start=*/0, /*sub=*/1,
-                                  shape.radix, world);
-    detail::knomial_broadcast(dest, dest, total, /*stride=*/1, /*root=*/0,
-                              shape.radix, world, pipelined, defer_tail,
-                              shape.chunk);
-    return;
-  }
-
   const auto levels = detail::hier_levels(shape.groups, n, me);
   for (std::size_t l = levels.size(); l-- > 0;) {
     const auto& lv = levels[l];
@@ -431,29 +230,8 @@ void hier_fcollect(T* dest, const T* src, std::size_t nelems_per_pe,
     detail::knomial_gather_blocks(dest, per, lv.start, lv.stride, shape.radix,
                                   team);
   }
-  hier_broadcast(dest, dest, total, /*stride=*/1, /*root=*/0, shape,
-                 pipelined, defer_tail);
-}
-
-// ---------------------------------------------------------------------------
-// Legacy two-level entry point (compatibility shim over hier_broadcast)
-// ---------------------------------------------------------------------------
-
-/// Two-level broadcast with the same contract as xbgas::broadcast over the
-/// whole world. `group_size` must divide the world size evenly; 1 or
-/// world-size degrade to the plain binomial tree.
-template <class T>
-void hierarchical_broadcast(T* dest, const T* src, std::size_t nelems,
-                            int stride, int root, int group_size) {
-  const int n = xbrtime_ctx().n_pes();
-  XBGAS_CHECK(group_size >= 1 && n % group_size == 0,
-              "group_size must divide the PE count");
-  if (group_size == 1 || group_size == n) {
-    broadcast(dest, src, nelems, stride, root);
-    return;
-  }
-  hier_broadcast(dest, src, nelems, stride, root,
-                 HierShape{{group_size}, /*radix=*/2, /*chunk=*/0});
+  return hier_broadcast(dest, dest, per * static_cast<std::size_t>(n),
+                        /*stride=*/1, /*root=*/0, shape, mode);
 }
 
 }  // namespace xbgas

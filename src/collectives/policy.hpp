@@ -3,12 +3,13 @@
 // Cost-model-driven collective algorithm selection — the layer the paper's
 // §7 future work asks for once "algorithms optimized for larger message
 // sizes" exist alongside the binomial tree. The repo now carries three
-// algorithm families (k-nomial tree in collectives.hpp/hierarchy.hpp,
-// segmented ring in ring.hpp, locality-aware hierarchical in
-// hierarchy.hpp); CollectivePolicy is the analytic latency–bandwidth model
-// that picks between them per collective and per (n_pes, payload bytes)
-// point, and the dispatch_* templates below are the call sites that
-// consult it.
+// algorithm families (k-nomial tree in collectives.hpp, segmented ring in
+// ring.hpp, locality-aware hierarchical in hierarchy.hpp); CollectivePolicy
+// is the analytic latency–bandwidth model that picks between them per
+// collective and per (n_pes, payload bytes) point. detail::run_collective
+// below is the one (kind x family) switch that runs the pick — for the
+// blocking dispatch_* templates, the xbr_*_nbi entry points (nbi.hpp) and
+// the tuner's measurements alike.
 //
 // The model is the classic alpha–beta decomposition parameterized from the
 // machine's own NetCostParams (docs/COLLECTIVES.md derives the formulas):
@@ -283,6 +284,99 @@ inline std::size_t ring_segments_hint(std::size_t nelems, std::size_t chunk) {
   return chunk == 0 ? 0 : std::clamp<std::size_t>(nelems / chunk, 1, 64);
 }
 
+/// Stand-in reduction for the data-movement kinds: the one switch below
+/// instantiates its reduce branches for every element type, and they never
+/// run for broadcast or allgather.
+struct OpNone {
+  template <class T>
+  static constexpr T apply(T a, T /*b*/) {
+    return a;
+  }
+};
+
+/// The one (kind x family) switch: run collective `kind` as decided by `d`
+/// in completion mode `mode`. For kAllgather `nelems` is the per-PE count
+/// (stride 1, root 0); kAllreduce ignores `root`. Every dispatch_*,
+/// xbr_*_nbi and tuner measurement runs through here. Returns true when the
+/// final fence was left to the caller (kNbi only).
+template <class Op, class T>
+bool run_collective(CollKind kind, const CollDecision& d, CollMode mode,
+                    T* dest, const T* src, std::size_t nelems, int stride,
+                    int root, Communicator& comm) {
+  switch (d.algo) {
+    case CollAlgo::kRing: {
+      const std::size_t seg = ring_segments_hint(nelems, d.chunk);
+      switch (kind) {
+        case CollKind::kBroadcast:
+          return ring_broadcast(dest, src, nelems, stride, root, comm, seg,
+                                mode);
+        case CollKind::kReduce:
+          // Already a fully pipelined schedule (double-buffered landing,
+          // deferred combine); complete at return in both modes.
+          ring_reduce<Op>(dest, src, nelems, stride, root, comm, seg);
+          return false;
+        case CollKind::kAllreduce:
+          ring_allreduce<Op>(dest, src, nelems, stride, comm, mode);
+          return false;
+        case CollKind::kAllgather:
+          return ring_allgather(dest, src, nelems, comm, mode);
+      }
+      break;
+    }
+    case CollAlgo::kHier: {
+      const HierShape shape =
+          active_collective_policy().hier_shape(comm.n_pes(), d.radix, d.chunk);
+      switch (kind) {
+        case CollKind::kBroadcast:
+          return hier_broadcast(dest, src, nelems, stride, root, shape, mode);
+        case CollKind::kReduce:
+          hier_reduce<Op>(dest, src, nelems, stride, root, shape, mode);
+          return false;
+        case CollKind::kAllreduce:
+          return hier_reduce_all<Op>(dest, src, nelems, stride, shape, mode);
+        case CollKind::kAllgather:
+          return hier_fcollect(dest, src, nelems, shape, mode);
+      }
+      break;
+    }
+    default:  // kTree: the k-nomial executor at the decided radix
+      switch (kind) {
+        case CollKind::kBroadcast:
+          return knomial_broadcast(dest, src, nelems, stride, root, d.radix,
+                                   comm, mode, d.chunk);
+        case CollKind::kReduce:
+          knomial_reduce<Op>(dest, src, nelems, stride, root, d.radix, comm,
+                             mode, d.chunk);
+          return false;
+        case CollKind::kAllreduce:
+          knomial_reduce<Op>(dest, src, nelems, stride, /*root=*/0, d.radix,
+                             comm, mode, d.chunk);
+          return knomial_broadcast(dest, dest, nelems, stride, /*root=*/0,
+                                   d.radix, comm, mode, d.chunk);
+        case CollKind::kAllgather:
+          return knomial_fcollect(dest, src, nelems, d.radix, comm, mode,
+                                  d.chunk);
+      }
+      break;
+  }
+  return false;
+}
+
+/// Resolve the family for one call site (policy, counters, trace event)
+/// and run it. The policy sees an allgather's whole concatenation.
+template <class Op, class T>
+bool dispatch(CollKind kind, CollMode mode, T* dest, const T* src,
+              std::size_t nelems, int stride, int root, Communicator& comm) {
+  const int n = comm.n_pes();
+  const std::size_t payload =
+      kind == CollKind::kAllgather ? nelems * static_cast<std::size_t>(n)
+                                   : nelems;
+  const CollDecision d = resolve_and_record(kind, n, payload, sizeof(T),
+                                            &comm == &world_comm());
+  return run_collective<Op>(kind, d, mode, dest, src, nelems, stride, root,
+                            comm);
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -292,131 +386,33 @@ inline std::size_t ring_segments_hint(std::size_t nelems, std::size_t chunk) {
 template <class T>
 void dispatch_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
                         int root, Communicator& comm = world_comm()) {
-  const bool world = &comm == &world_comm();
-  const CollDecision d = detail::resolve_and_record(
-      CollKind::kBroadcast, comm.n_pes(), nelems, sizeof(T), world);
-  switch (d.algo) {
-    case CollAlgo::kRing:
-      ring_broadcast(dest, src, nelems, stride, root, comm,
-                     detail::ring_segments_hint(nelems, d.chunk));
-      break;
-    case CollAlgo::kHier:
-      hier_broadcast(dest, src, nelems, stride, root,
-                     active_collective_policy().hier_shape(comm.n_pes(),
-                                                           d.radix, d.chunk));
-      break;
-    default:
-      if (d.radix != 2) {
-        detail::knomial_broadcast(dest, src, nelems, stride, root, d.radix,
-                                  comm);
-      } else {
-        broadcast(dest, src, nelems, stride, root, comm);
-      }
-      break;
-  }
+  detail::dispatch<detail::OpNone>(CollKind::kBroadcast, CollMode::kBlocking,
+                                   dest, src, nelems, stride, root, comm);
 }
 
 template <class Op, class T>
 void dispatch_reduce(T* dest, const T* src, std::size_t nelems, int stride,
                      int root, Communicator& comm = world_comm()) {
-  const bool world = &comm == &world_comm();
-  const CollDecision d = detail::resolve_and_record(
-      CollKind::kReduce, comm.n_pes(), nelems, sizeof(T), world);
-  switch (d.algo) {
-    case CollAlgo::kRing:
-      ring_reduce<Op>(dest, src, nelems, stride, root, comm,
-                      detail::ring_segments_hint(nelems, d.chunk));
-      break;
-    case CollAlgo::kHier:
-      hier_reduce<Op>(dest, src, nelems, stride, root,
-                      active_collective_policy().hier_shape(comm.n_pes(),
-                                                            d.radix, d.chunk));
-      break;
-    default:
-      if (d.radix != 2) {
-        detail::knomial_reduce<Op>(dest, src, nelems, stride, root, d.radix,
-                                   comm);
-      } else {
-        reduce<Op>(dest, src, nelems, stride, root, comm);
-      }
-      break;
-  }
+  detail::dispatch<Op>(CollKind::kReduce, CollMode::kBlocking, dest, src,
+                       nelems, stride, root, comm);
 }
 
 template <class Op, class T>
 void dispatch_reduce_all(T* dest, const T* src, std::size_t nelems,
                          int stride, Communicator& comm = world_comm()) {
-  const bool world = &comm == &world_comm();
-  const CollDecision d = detail::resolve_and_record(
-      CollKind::kAllreduce, comm.n_pes(), nelems, sizeof(T), world);
-  switch (d.algo) {
-    case CollAlgo::kRing:
-      ring_allreduce<Op>(dest, src, nelems, stride, comm);
-      break;
-    case CollAlgo::kHier:
-      hier_reduce_all<Op>(dest, src, nelems, stride,
-                          active_collective_policy().hier_shape(
-                              comm.n_pes(), d.radix, d.chunk));
-      break;
-    default:
-      if (d.radix != 2) {
-        detail::knomial_reduce<Op>(dest, src, nelems, stride, /*root=*/0,
-                                   d.radix, comm);
-        detail::knomial_broadcast(dest, dest, nelems, stride, /*root=*/0,
-                                  d.radix, comm);
-      } else {
-        reduce<Op>(dest, src, nelems, stride, /*root=*/0, comm);
-        broadcast(dest, dest, nelems, stride, /*root=*/0, comm);
-      }
-      break;
-  }
+  detail::dispatch<Op>(CollKind::kAllreduce, CollMode::kBlocking, dest, src,
+                       nelems, stride, /*root=*/0, comm);
 }
 
+/// Fixed-count allgather; the tree family runs the k-nomial block gather
+/// plus broadcast at every radix (collect() keeps the paper's gather +
+/// broadcast composition).
 template <class T>
 void dispatch_fcollect(T* dest, const T* src, std::size_t nelems_per_pe,
                        Communicator& comm = world_comm()) {
-  const int n = comm.n_pes();
-  const bool world = &comm == &world_comm();
-  const std::size_t total =
-      nelems_per_pe * static_cast<std::size_t>(n);
-  const CollDecision d = detail::resolve_and_record(CollKind::kAllgather, n,
-                                                    total, sizeof(T), world);
-  switch (d.algo) {
-    case CollAlgo::kRing:
-      ring_allgather(dest, src, nelems_per_pe, comm);
-      break;
-    case CollAlgo::kHier:
-      hier_fcollect(dest, src, nelems_per_pe,
-                    active_collective_policy().hier_shape(n, d.radix,
-                                                          d.chunk));
-      break;
-    default: {
-      if (d.radix != 2) {
-        const int me = comm.rank();
-        if (nelems_per_pe > 0 &&
-            dest + static_cast<std::size_t>(me) * nelems_per_pe != src) {
-          xbr_put(dest + static_cast<std::size_t>(me) * nelems_per_pe, src,
-                  nelems_per_pe, 1, comm.world_rank(me));
-        }
-        detail::knomial_gather_blocks(dest, nelems_per_pe, /*start=*/0,
-                                      /*sub=*/1, d.radix, comm);
-        detail::knomial_broadcast(dest, dest, total, /*stride=*/1,
-                                  /*root=*/0, d.radix, comm);
-        break;
-      }
-      // The paper's composition: gather to rank 0, then broadcast.
-      std::vector<int> msgs(static_cast<std::size_t>(n),
-                            static_cast<int>(nelems_per_pe));
-      std::vector<int> disp(static_cast<std::size_t>(n));
-      for (int r = 0; r < n; ++r) {
-        disp[static_cast<std::size_t>(r)] = static_cast<int>(
-            static_cast<std::size_t>(r) * nelems_per_pe);
-      }
-      gather(dest, src, msgs.data(), disp.data(), total, /*root=*/0, comm);
-      broadcast(dest, dest, total, /*stride=*/1, /*root=*/0, comm);
-      break;
-    }
-  }
+  detail::dispatch<detail::OpNone>(CollKind::kAllgather, CollMode::kBlocking,
+                                   dest, src, nelems_per_pe, /*stride=*/1,
+                                   /*root=*/0, comm);
 }
 
 }  // namespace xbgas

@@ -18,6 +18,13 @@
 // once per-segment serialization outweighs its extra synchronization
 // steps — the classic large-message crossover the policy layer
 // (policy.hpp) models analytically and bench_policy_crossover measures.
+//
+// ring_broadcast, ring_allreduce and ring_allgather take a completion mode
+// (CollMode, collectives.hpp): kNbi issues every hop nonblocking (the ring
+// broadcast one transfer per segment, the others pipeline_chunks() pieces)
+// and, for broadcast and allgather, leaves the final step unfenced for the
+// caller. The allreduce stays fenced to the end — its accumulator is freed
+// on return.
 
 #include <algorithm>
 #include <cstddef>
@@ -35,11 +42,13 @@ constexpr std::size_t ring_default_segments(std::size_t nelems) {
 
 /// Broadcast with the same contract as xbgas::broadcast (symmetric dest on
 /// every PE, root-private src, stride in elements), pipelined over a ring.
-/// `segments` == 0 selects the heuristic.
+/// `segments` == 0 selects the heuristic. Returns true when the final step
+/// was left unfenced (kNbi): the caller owns that fence.
 template <class T>
-void ring_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
+bool ring_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
                     int root, Communicator& comm = world_comm(),
-                    std::size_t segments = 0) {
+                    std::size_t segments = 0,
+                    CollMode mode = CollMode::kBlocking) {
   const int vr = detail::collective_prologue(comm, root, stride);
   const int n = comm.n_pes();
 
@@ -48,7 +57,7 @@ void ring_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
     xbr_put(dest, src, nelems, stride, comm.world_rank(comm.rank()));
   }
   comm.barrier();
-  if (n == 1 || nelems == 0) return;
+  if (n == 1 || nelems == 0) return false;
 
   const std::size_t nseg =
       std::min(segments == 0 ? ring_default_segments(nelems) : segments,
@@ -57,6 +66,7 @@ void ring_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
       vr < n - 1 ? comm.world_rank(logical_rank(vr + 1, root, n)) : -1;
 
   const int total_steps = (n - 2) + static_cast<int>(nseg);
+  const bool defer_last = mode == CollMode::kNbi;
   for (int step = 0; step < total_steps; ++step) {
     // Virtual rank r forwards segment (step - r) this step, if it exists.
     const int s = step - vr;
@@ -65,13 +75,15 @@ void ring_broadcast(T* dest, const T* src, std::size_t nelems, int stride,
       const std::size_t hi =
           nelems * (static_cast<std::size_t>(s) + 1) / nseg;
       if (hi > lo) {
-        xbr_put(dest + lo * static_cast<std::size_t>(stride),
-                dest + lo * static_cast<std::size_t>(stride), hi - lo,
-                stride, next_world);
+        const std::size_t at = lo * static_cast<std::size_t>(stride);
+        // The segment is the pipeline unit: one transfer, never re-chunked.
+        detail::hop_put(mode, dest + at, dest + at, hi - lo, stride,
+                        next_world, /*chunk_elems=*/hi - lo);
       }
     }
-    comm.barrier();
+    if (!(defer_last && step == total_steps - 1)) comm.barrier();
   }
+  return defer_last;
 }
 
 namespace detail {
@@ -114,7 +126,8 @@ constexpr std::size_t ring_chunk_lo(std::size_t nelems, int n, int c) {
 /// deterministic (a different — but equally fixed — order than the tree's).
 template <class Op, class T>
 void ring_allreduce(T* dest, const T* src, std::size_t nelems, int stride,
-                    Communicator& comm = world_comm()) {
+                    Communicator& comm = world_comm(),
+                    CollMode mode = CollMode::kBlocking) {
   (void)detail::collective_prologue(comm, /*root=*/0, stride);
   const int n = comm.n_pes();
   const int me = comm.rank();
@@ -140,12 +153,15 @@ void ring_allreduce(T* dest, const T* src, std::size_t nelems, int stride,
 
   // Reduce-scatter: at step s, pull chunk (me-1-s) from the left neighbour
   // (who finished combining it last step) and fold it into our accumulator.
+  // A kNbi pull charges only injection now, so the combine runs during its
+  // modeled flight and the step barrier settles to max(transfer, combine)
+  // instead of their sum.
   for (int s = 0; s < n - 1; ++s) {
     const int c = ((me - 1 - s) % n + n) % n;
     const std::size_t lo = detail::ring_chunk_lo(nelems, n, c);
     const std::size_t hi = detail::ring_chunk_lo(nelems, n, c + 1);
     if (hi > lo) {
-      xbr_get(land.data(), acc + lo, hi - lo, 1, prev_world);
+      detail::hop_get(mode, land.data(), acc + lo, hi - lo, 1, prev_world);
       for (std::size_t k = 0; k < hi - lo; ++k) {
         acc[lo + k] = Op::apply(land[k], acc[lo + k]);
       }
@@ -155,13 +171,15 @@ void ring_allreduce(T* dest, const T* src, std::size_t nelems, int stride,
   }
 
   // Allgather: PE r now owns fully-reduced chunk (r+1); at step s, pull
-  // chunk (me-s) — acquired by the left neighbour one step earlier.
+  // chunk (me-s) — acquired by the left neighbour one step earlier. The
+  // final barrier stays in both modes: a neighbour may still be pulling
+  // from our acc, which is about to be freed.
   for (int s = 0; s < n - 1; ++s) {
     const int c = ((me - s) % n + n) % n;
     const std::size_t lo = detail::ring_chunk_lo(nelems, n, c);
     const std::size_t hi = detail::ring_chunk_lo(nelems, n, c + 1);
     if (hi > lo) {
-      xbr_get(acc + lo, acc + lo, hi - lo, 1, prev_world);
+      detail::hop_get(mode, acc + lo, acc + lo, hi - lo, 1, prev_world);
     }
     comm.barrier();
   }
@@ -178,9 +196,11 @@ void ring_allreduce(T* dest, const T* src, std::size_t nelems, int stride,
 /// n_pes * nelems_per_pe elements; src may be private). dest doubles as the
 /// symmetric exchange buffer: each PE deposits its own segment, then n-1
 /// steps circulate the segments around the ring, B/n bytes per step.
+/// Returns true when the final step was left unfenced (kNbi).
 template <class T>
-void ring_allgather(T* dest, const T* src, std::size_t nelems_per_pe,
-                    Communicator& comm = world_comm()) {
+bool ring_allgather(T* dest, const T* src, std::size_t nelems_per_pe,
+                    Communicator& comm = world_comm(),
+                    CollMode mode = CollMode::kBlocking) {
   (void)detail::collective_prologue(comm, /*root=*/0, /*stride=*/1);
   const int n = comm.n_pes();
   const int me = comm.rank();
@@ -191,15 +211,19 @@ void ring_allgather(T* dest, const T* src, std::size_t nelems_per_pe,
             comm.world_rank(me));
   }
   comm.barrier();
-  if (n == 1 || seg == 0) return;
+  if (n == 1 || seg == 0) return false;
 
   const int prev_world = comm.world_rank((me + n - 1) % n);
+  const bool defer_last = mode == CollMode::kNbi;
   for (int s = 0; s < n - 1; ++s) {
-    // The left neighbour obtained segment (me-1-s) one step earlier.
+    // The left neighbour obtained segment (me-1-s) one step earlier. Every
+    // pull reads a segment the previous step's barrier settled, so the last
+    // step's barrier only completes the pulls themselves.
     const auto c = static_cast<std::size_t>(((me - 1 - s) % n + n) % n);
-    xbr_get(dest + c * seg, dest + c * seg, seg, 1, prev_world);
-    comm.barrier();
+    detail::hop_get(mode, dest + c * seg, dest + c * seg, seg, 1, prev_world);
+    if (!(defer_last && s == n - 2)) comm.barrier();
   }
+  return defer_last;
 }
 
 // ---------------------------------------------------------------------------

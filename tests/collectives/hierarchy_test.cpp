@@ -138,8 +138,14 @@ TEST(HierarchyEngineTest, RejectsBadShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy two-level shim (hierarchical_broadcast) keeps its old contract.
+// Two-level broadcast: hier_broadcast over one grouping level (group size 1
+// or the whole world has no second level and runs the flat tree).
 // ---------------------------------------------------------------------------
+
+HierShape two_level(int n, int group_size) {
+  if (group_size == 1 || group_size == n) return HierShape{};
+  return HierShape{{group_size}};
+}
 
 void check_hierarchical(int n, int root, int group_size, std::size_t nelems) {
   run_spmd(n, [&](PeContext& pe) {
@@ -151,7 +157,8 @@ void check_hierarchical(int n, int root, int group_size, std::size_t nelems) {
       src[i] = root * 1000 + static_cast<long>(i);
     }
     xbrtime_barrier();
-    hierarchical_broadcast(dest, src.data(), nelems, 1, root, group_size);
+    hier_broadcast(dest, src.data(), nelems, 1, root,
+                   two_level(n, group_size));
     for (std::size_t i = 0; i < nelems; ++i) {
       EXPECT_EQ(dest[i], root * 1000 + static_cast<long>(i))
           << "pe=" << pe.rank() << " n=" << n << " root=" << root
@@ -206,7 +213,7 @@ TEST(HierarchicalBroadcastTest, RejectsIndivisibleGroups) {
                  xbrtime_init();
                  auto* d = static_cast<int*>(xbrtime_malloc(16));
                  int s = 0;
-                 hierarchical_broadcast(d, &s, 1, 1, 0, 4);
+                 hier_broadcast(d, &s, 1, 1, 0, HierShape{{4}});
                }),
                Error);
 }
@@ -232,14 +239,14 @@ TEST(HierarchicalBroadcastTest, FewerInterNodeTransfersThanFlatTree) {
     // Warm both forwarding sets.
     broadcast(buf, src.data(), 256, 1, /*root=*/3);
     xbrtime_barrier();
-    hierarchical_broadcast(buf, src.data(), 256, 1, /*root=*/3, 4);
+    hier_broadcast(buf, src.data(), 256, 1, /*root=*/3, HierShape{{4}});
     xbrtime_barrier();
 
     const std::uint64_t t0 = pe.clock().cycles();
     broadcast(buf, src.data(), 256, 1, /*root=*/3);
     xbrtime_barrier();
     const std::uint64_t t1 = pe.clock().cycles();
-    hierarchical_broadcast(buf, src.data(), 256, 1, /*root=*/3, 4);
+    hier_broadcast(buf, src.data(), 256, 1, /*root=*/3, HierShape{{4}});
     xbrtime_barrier();
     const std::uint64_t t2 = pe.clock().cycles();
     if (pe.rank() == 0) {

@@ -134,6 +134,44 @@ TEST(TunerTest, MissFallsBackToModel) {
   EXPECT_EQ(counters.misses, 1u);
 }
 
+TEST(TunerTest, TreeAllgatherMeasuresWhatDispatchRuns) {
+  // The tuner must time the schedule dispatch actually runs: a forced-tree
+  // fcollect under the tuner's own warm-then-measure protocol (same
+  // buffers, same rank-0 makespan) costs exactly the tuner's sample.
+  const MachineConfig base = tuner_base();
+  const std::size_t nelems = 2048;
+  std::vector<TuneMeasurement> measurements;
+  build_tune_table(base, {nelems}, {TuneCandidate{CollAlgo::kTree, 2, 0}},
+                   &measurements);
+  std::uint64_t tuned = 0;
+  for (const TuneMeasurement& m : measurements) {
+    if (m.kind == CollKind::kAllgather) tuned = m.cycles;
+  }
+  ASSERT_GT(tuned, 0u);
+
+  MachineConfig config = base;
+  config.coll_algo = "tree";
+  Machine machine(config);
+  std::uint64_t dispatched = 0;
+  machine.run([&](PeContext& pe) {
+    xbrtime_init();
+    auto* dest = static_cast<long*>(xbrtime_malloc(nelems * sizeof(long)));
+    auto* src = static_cast<long*>(xbrtime_malloc(nelems * sizeof(long)));
+    for (std::size_t i = 0; i < nelems; ++i) src[i] = static_cast<long>(i + 1);
+    const std::size_t per = nelems / static_cast<std::size_t>(base.n_pes);
+    dispatch_fcollect(dest, src, per);
+    xbrtime_barrier();
+    const std::uint64_t t0 = pe.clock().cycles();
+    dispatch_fcollect(dest, src, per);
+    xbrtime_barrier();
+    if (pe.rank() == 0) dispatched = pe.clock().cycles() - t0;
+    xbrtime_free(src);
+    xbrtime_free(dest);
+    xbrtime_close();
+  });
+  EXPECT_EQ(dispatched, tuned);
+}
+
 TEST(TunerTest, LoadRejectsMalformedTables) {
   const std::string path = "tuner_bad.table";
   {
