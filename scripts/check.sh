@@ -31,22 +31,27 @@
 #      escalation and fail-fast suites, a scripted + seeded bench_partition
 #      soak with bit-identical replays, and the committed
 #      BENCH_partition.json re-gated
-#  13. nbi + write-combining smoke (docs/COLLECTIVES.md): the explicit-
+#  13. replay determinism under load: the four same-seed replay tests
+#      (AMO kill site, 64-PE partition, seeded RMA faults, unreachable
+#      escalation) at -j$(nproc), repeated until one fails, 20 times — they
+#      compare the modeled counter snapshot, so worker count and OS
+#      scheduling must not move them
+#  14. nbi + write-combining smoke (docs/COLLECTIVES.md): the explicit-
 #      handle test wall (request RMA, write combiner, the new sanitizer
 #      epochs, nbi conformance — every conformance case runs under
 #      --xbrsan full internally) plus bench_gups, which exits nonzero
 #      unless coalescing wins >= 2x bitwise-identically and the chunked-nbi
 #      ring allreduce beats the blocking ring at 64 PEs
-#  14. scaling smoke (docs/SCALING.md): the 256-PE integration suite, the
+#  15. scaling smoke (docs/SCALING.md): the 256-PE integration suite, the
 #      1024-PE slow smoke, and a bench_scaling run checking the modeled
 #      barrier latency actually grows log-depth, not linearly
-#  15. modeled-number exactness: regenerate bench_policy_crossover and
+#  16. modeled-number exactness: regenerate bench_policy_crossover and
 #      bench_gups (defaults), bench_scaling and bench_osu_sweep (16 and 64
 #      PEs), and require every modeled field to equal the committed
 #      BENCH_*.json bit for bit (host fields — *_host_*, switches, workers
 #      — are skipped)
-#  16. ASan+UBSan pass (-DXBGAS_SANITIZE=address) over the full test suite
-#  17. ThreadSanitizer pass (-DXBGAS_SANITIZE=thread) over the concurrency-
+#  17. ASan+UBSan pass (-DXBGAS_SANITIZE=address) over the full test suite
+#  18. ThreadSanitizer pass (-DXBGAS_SANITIZE=thread) over the concurrency-
 #      heavy suites: machine (incl. the fiber scheduler), trace, fault, san,
 #      nbi/write-combining, recovery, serving, scaling, partition/
 #      unreachable, and the collectives conformance sweep (blocking and
@@ -59,21 +64,21 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
-echo "== [1/17] tier-1 verify (configure + build + full ctest, -Werror on) =="
+echo "== [1/18] tier-1 verify (configure + build + full ctest, -Werror on) =="
 cmake -B "$BUILD" -S . -DXBGAS_WERROR=ON
 cmake --build "$BUILD" -j
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 
-echo "== [2/17] fast path: unit label only (ctest -L unit) =="
+echo "== [2/18] fast path: unit label only (ctest -L unit) =="
 ctest --test-dir "$BUILD" -L unit --output-on-failure -j "$(nproc)"
 
-echo "== [3/17] observability suite (ctest -R trace) =="
+echo "== [3/18] observability suite (ctest -R trace) =="
 ctest --test-dir "$BUILD" -R trace --output-on-failure
 
-echo "== [4/17] disabled-path overhead guard =="
+echo "== [4/18] disabled-path overhead guard =="
 "$BUILD"/tests/trace/trace_overhead_test
 
-echo "== [5/17] trace + counters smoke (bench_pt2pt) =="
+echo "== [5/18] trace + counters smoke (bench_pt2pt) =="
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 "$BUILD"/bench/bench_pt2pt --trace-out="$TMP/t.json" --counters=json \
@@ -92,7 +97,7 @@ print(f"smoke OK: {len(trace['traceEvents'])} trace events, "
       f"{len(tracks)} PE tracks, {counters['net.messages']} remote RMAs")
 EOF
 
-echo "== [6/17] fault-injection smoke (bench_pt2pt, docs/RESILIENCE.md) =="
+echo "== [6/18] fault-injection smoke (bench_pt2pt, docs/RESILIENCE.md) =="
 "$BUILD"/bench/bench_pt2pt --fault-rma-drop=0.01 --fault-seed=7 \
     --counters=json > "$TMP/fault1.txt"
 "$BUILD"/bench/bench_pt2pt --fault-rma-drop=0.01 --fault-seed=7 \
@@ -112,7 +117,7 @@ print(f"fault smoke OK: {counters['fault.injected.rma_drop']} drops "
       f"absorbed by {counters['rma.retries']} retries, deterministic replay")
 EOF
 
-echo "== [7/17] collective-policy smoke (docs/COLLECTIVES.md) =="
+echo "== [7/18] collective-policy smoke (docs/COLLECTIVES.md) =="
 "$BUILD"/bench/bench_policy_crossover --pes 8 --sizes 16,4096 --reps 1 \
     --json "$TMP/cross.json" > /dev/null
 python3 - "$TMP" <<'EOF'
@@ -129,7 +134,7 @@ print("policy smoke OK: auto flips tree->ring across the crossover and "
       "tracks the faster family")
 EOF
 
-echo "== [8/17] hierarchy + tuner gauntlet (docs/COLLECTIVES.md) =="
+echo "== [8/18] hierarchy + tuner gauntlet (docs/COLLECTIVES.md) =="
 # The engine/tuner test wall: k-nomial schedules, the depth x radix x PE
 # conformance axis (each case under XbrSan full internally), the tuner
 # round-trip, and the three regression suites from this PR's bugfixes.
@@ -181,7 +186,7 @@ for m in machines:
 print("committed BENCH_osu.json OK")
 EOF
 
-echo "== [9/17] XbrSan smoke (docs/SANITIZER.md) =="
+echo "== [9/18] XbrSan smoke (docs/SANITIZER.md) =="
 # Positive: a real workload under full checking finishes with 0 violations.
 "$BUILD"/bench/bench_pt2pt --xbrsan=full --counters=json > "$TMP/san.txt"
 python3 - "$TMP" <<'EOF'
@@ -203,14 +208,14 @@ EOF
 grep -q 'XbrSan\[out_of_bounds\]' "$TMP/san_neg.txt"
 echo "xbrsan negative smoke OK: planted bug detected"
 
-echo "== [10/17] survivor-recovery chaos smoke (bench_chaos) =="
+echo "== [10/18] survivor-recovery chaos smoke (bench_chaos) =="
 # Scripted: the acceptance kill plan (mid-barrier + mid-RMA on 12 PEs).
 "$BUILD"/bench/bench_chaos --pes 12 --rounds 4 \
     --fault-kill 3:barrier:11,7:rma:4
 # Soak: seeded-random kill plans; every seed must recover and verify.
 "$BUILD"/bench/bench_chaos --pes 10 --seeds 8 --rounds 4
 
-echo "== [11/17] serving chaos smoke (bench_serving, docs/SERVING.md) =="
+echo "== [11/18] serving chaos smoke (bench_serving, docs/SERVING.md) =="
 # Scripted: one mid-RMA kill under default transport faults on 12 PEs.
 "$BUILD"/bench/bench_serving --pes 12 --batches 12 --ops-per-batch 32 \
     --fault-kill 5:rma:40
@@ -221,7 +226,7 @@ echo "== [11/17] serving chaos smoke (bench_serving, docs/SERVING.md) =="
 "$BUILD"/bench/bench_serving --pes 10 --batches 12 --ops-per-batch 32 \
     --seeds 4
 
-echo "== [12/17] partition-tolerance smoke (bench_partition, docs/RESILIENCE.md) =="
+echo "== [12/18] partition-tolerance smoke (bench_partition, docs/RESILIENCE.md) =="
 # The both-sides quorum proof and the fail-fast conformance axis: the 64-PE
 # scripted split (majority shrinks + verifies, minority unwinds typed), the
 # unreachable-peer escalation suite, and every blocking op terminating
@@ -254,7 +259,14 @@ print(f"committed BENCH_partition.json OK: {len(data['runs'])} seeded splits, "
       f"every eviction by quorum, bit-identical replays")
 EOF
 
-echo "== [13/17] nbi + write-combining smoke (bench_gups, docs/COLLECTIVES.md) =="
+echo "== [13/18] replay determinism under load (ctest --repeat until-fail:20) =="
+# Same seed => same modeled books, on any worker count: run the four replay
+# tests concurrently on every core, 20 times over.
+ctest --test-dir "$BUILD" \
+    -R '(AmoKillSite|PartitionQuorum|ResilienceTest|UnreachableEscalation)' \
+    --output-on-failure -j "$(nproc)" --repeat until-fail:20
+
+echo "== [14/18] nbi + write-combining smoke (bench_gups, docs/COLLECTIVES.md) =="
 # The explicit-handle test wall in the main build: request-RMA semantics,
 # the write combiner, the three new XbrSan epochs (negative + positive),
 # the hedged-nbi failover ledger, and the nbi conformance axis — each
@@ -282,7 +294,7 @@ print(f"nbi smoke OK: coalescing {g['speedup']}x over {g['combiner']['flushes']}
       f"flushes, pipelined allreduce {ar['speedup']}x at {ar['n_pes']} PEs")
 EOF
 
-echo "== [14/17] scaling smoke (docs/SCALING.md) =="
+echo "== [15/18] scaling smoke (docs/SCALING.md) =="
 # 256-PE conformance/recovery/chaos cases ride the integration suite; the
 # 1024-PE smoke is its own slow-labeled binary.
 ctest --test-dir "$BUILD" -R 'Scaling' --output-on-failure
@@ -303,7 +315,7 @@ print(f"scaling smoke OK: barrier {points[16]['barrier_cycles']} -> "
       f"{points[1024]['workers']} worker(s)")
 EOF
 
-echo "== [15/17] modeled numbers vs committed BENCH files (exact) =="
+echo "== [16/18] modeled numbers vs committed BENCH files (exact) =="
 # Modeled cycles are deterministic, so a regenerated run must reproduce the
 # committed files exactly; only the host-time fields may move.
 "$BUILD"/bench/bench_policy_crossover --json "$TMP/exact_cross.json" > /dev/null
@@ -364,13 +376,13 @@ print("modeled exactness OK: policy crossover, gups, scaling (16/64 PEs) and "
       "osu sweep (16/64 PEs) reproduce the committed BENCH files")
 EOF
 
-echo "== [16/17] ASan+UBSan pass (full test suite) =="
+echo "== [17/18] ASan+UBSan pass (full test suite) =="
 cmake -B "$BUILD-asan" -S . -DXBGAS_SANITIZE=address -DXBGAS_WERROR=ON \
     -DXBGAS_BUILD_BENCH=OFF -DXBGAS_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD-asan" -j
 ctest --test-dir "$BUILD-asan" --output-on-failure -j "$(nproc)"
 
-echo "== [17/17] TSan pass (machine + sched + trace + fault + san + nbi + recovery + serving + conformance + scaling) =="
+echo "== [18/18] TSan pass (machine + sched + trace + fault + san + nbi + recovery + serving + conformance + scaling) =="
 cmake -B "$BUILD-tsan" -S . -DXBGAS_SANITIZE=thread -DXBGAS_WERROR=ON \
     -DXBGAS_BUILD_BENCH=OFF -DXBGAS_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD-tsan" -j

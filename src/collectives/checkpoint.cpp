@@ -97,11 +97,15 @@ RestoreReport xbr_restore(Communicator& comm) {
     }
   }
 
-  // (2) Orphans: failed ranks with a snapshot that are not on this team.
-  // Deterministic deal: orphan i (ascending rank) -> team rank i % n. Every
-  // member computes the same mapping from the same roster — no exchange.
+  // (2) Orphans: ranks a decided agreement excluded (acknowledged failures,
+  // partitioned or evicted peers) that have a snapshot and are not on this
+  // team. The excluded set is fixed at decision time, not read from the live
+  // failure roster — a partitioned rank is marked failed only when its fiber
+  // unwinds, at a host-dependent moment. Deterministic deal: orphan i
+  // (ascending rank) -> team rank i % n. Every member computes the same
+  // mapping from the same set — no exchange.
   std::vector<int> orphan_ranks;
-  for (const int r : machine.recovery().failed_ranks()) {
+  for (const int r : machine.recovery().excluded_ranks()) {
     bool member = false;
     for (int t = 0; t < comm.n_pes(); ++t) {
       if (comm.world_rank(t) == r) {

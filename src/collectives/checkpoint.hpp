@@ -11,11 +11,13 @@
 //
 // xbr_restore, typically run on a shrunken team after a death, does two
 // things: (1) every member restores its own latest snapshot in place, and
-// (2) the snapshots of *orphans* — failed ranks that checkpointed but are
-// not on the team — are re-sharded deterministically across the survivors
-// (orphan i, ascending by rank, lands on team rank i % n) and handed back in
-// the RestoreReport so the application can fold the lost ranks' data into
-// its own structures. The assignment is pure arithmetic over the roster, so
+// (2) the snapshots of *orphans* — ranks a decided agreement excluded
+// (acknowledged deaths, partitioned or evicted peers) that checkpointed but
+// are not on the team — are re-sharded deterministically across the
+// survivors (orphan i, ascending by rank, lands on team rank i % n) and
+// handed back in the RestoreReport so the application can fold the lost
+// ranks' data into its own structures. The excluded set is fixed by the
+// agreement decision and the assignment is pure arithmetic over it, so
 // every survivor computes the identical mapping without communication.
 
 #include <cstddef>
@@ -50,7 +52,7 @@ std::uint64_t xbr_checkpoint();
 
 /// Collective over `comm`: restore each member's own latest snapshot in
 /// place (blocks whose allocation no longer matches are skipped) and deal
-/// out failed non-members' snapshots round-robin across the team.
+/// out excluded non-members' snapshots round-robin across the team.
 RestoreReport xbr_restore(Communicator& comm);
 RestoreReport xbr_restore();
 

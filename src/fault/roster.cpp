@@ -88,6 +88,15 @@ bool RecoveryState::acknowledged(int rank) const {
   return failed_[i] != 0 && acknowledged_[i] != 0;
 }
 
+std::vector<int> RecoveryState::excluded_ranks() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<int> out;
+  for (std::size_t r = 0; r < acknowledged_.size(); ++r) {
+    if (acknowledged_[r] != 0) out.push_back(static_cast<int>(r));
+  }
+  return out;
+}
+
 std::uint64_t RecoveryState::epoch() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return epoch_;

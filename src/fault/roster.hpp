@@ -111,6 +111,13 @@ class RecoveryState {
   /// True when `rank` failed AND an agreement has acknowledged the failure.
   bool acknowledged(int rank) const;
 
+  /// Ranks some decided agreement excluded from its survivor roster: the
+  /// failures it acknowledged plus the partitioned and evicted ranks it
+  /// pre-acknowledged, whether or not those have unwound yet (ascending).
+  /// The decision fixes the set before any survivor returns from the
+  /// agreement, so every survivor reads the same one afterwards.
+  std::vector<int> excluded_ranks() const;
+
   // -- Reachability graph (fed by LinkFaults callbacks + escalation) --
 
   /// Record that the direct pair path (a, b) is scripted down / healed.

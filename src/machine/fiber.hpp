@@ -46,7 +46,7 @@
 // __sanitizer_finish_switch_fiber (ASan: fake-stack handoff) and
 // __tsan_switch_to_fiber (TSan: per-fiber shadow state), so the whole fiber
 // machine runs clean under -fsanitize=address and -fsanitize=thread
-// (scripts/check.sh stages 11/12).
+// (scripts/check.sh stages 17/18).
 
 #include <atomic>
 #include <cstddef>

@@ -102,14 +102,18 @@ inline CounterRegistry collect_counters(const Machine& machine) {
   reg.set("recovery.restored_bytes", ld(rc.restored_bytes));
   reg.set("recovery.orphaned_bytes", ld(rc.orphaned_bytes));
 
+  // The worker count and the switch/nap tallies describe the host scheduler,
+  // not the simulated machine: with more than one worker they vary run to
+  // run with OS scheduling (docs/SCALING.md).
   const SchedStats ss = machine.sched_stats();
+  constexpr CounterClass kHost = CounterClass::kHost;
   reg.set("sched.regions", ss.regions);
   reg.set("sched.fibers", ss.fibers);
-  reg.set("sched.workers", ss.workers);
-  reg.set("sched.switches", ss.switches);
-  reg.set("sched.yields_waiting", ss.yields_waiting);
+  reg.set("sched.workers", ss.workers, kHost);
+  reg.set("sched.switches", ss.switches, kHost);
+  reg.set("sched.yields_waiting", ss.yields_waiting, kHost);
   reg.set("sched.injected_yields", ss.injected_yields);
-  reg.set("sched.naps", ss.naps);
+  reg.set("sched.naps", ss.naps, kHost);
 
   const Sanitizer& san = machine.sanitizer();
   const Sanitizer::Counters sc = san.counters();

@@ -17,12 +17,14 @@ const CounterRegistry::Entry* CounterRegistry::find(
   return it == entries_.end() ? nullptr : &*it;
 }
 
-void CounterRegistry::set(const std::string& name, std::uint64_t value) {
+void CounterRegistry::set(const std::string& name, std::uint64_t value,
+                          CounterClass cls) {
   if (Entry* e = find(name)) {
     e->value = value;
+    e->cls = cls;
     return;
   }
-  entries_.push_back(Entry{name, value});
+  entries_.push_back(Entry{name, value, cls});
 }
 
 void CounterRegistry::add(const std::string& name, std::uint64_t delta) {
@@ -57,10 +59,11 @@ void CounterRegistry::dump_table(std::FILE* out) const {
   }
 }
 
-std::string CounterRegistry::json() const {
+std::string CounterRegistry::json(std::optional<CounterClass> only) const {
   std::string out = "{";
   bool first = true;
   for (const auto& e : entries_) {
+    if (only && e.cls != *only) continue;
     if (!first) out += ",";
     first = false;
     out += "\n  \"" + e.name + "\": " + std::to_string(e.value);

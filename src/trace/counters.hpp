@@ -10,6 +10,13 @@
 //
 // Names are dotted paths ("olb.hits", "cache.l1.misses", "net.stall_cycles")
 // so the flat JSON stays grep- and jq-friendly.
+//
+// Every entry carries a class. Modeled counters describe the simulated
+// machine and repeat bit-identically for the same program, seed and fault
+// plan; host counters describe the process running the simulation (fiber
+// switches, worker naps) and vary with OS scheduling once more than one
+// worker runs. json(CounterClass::kModeled) is the snapshot a replay check
+// compares; the table and full JSON dumps list both classes.
 
 #include <cstdint>
 #include <cstdio>
@@ -19,12 +26,17 @@
 
 namespace xbgas {
 
+/// What a counter measures: the simulated machine or the host simulator.
+enum class CounterClass : std::uint8_t { kModeled, kHost };
+
 class CounterRegistry {
  public:
-  /// Set (or overwrite) one counter. Insertion order is preserved for dumps.
-  void set(const std::string& name, std::uint64_t value);
+  /// Set (or overwrite) one counter and its class. Insertion order is
+  /// preserved for dumps.
+  void set(const std::string& name, std::uint64_t value,
+           CounterClass cls = CounterClass::kModeled);
 
-  /// Add to a counter, creating it at zero if absent.
+  /// Add to a counter, creating it at zero (modeled) if absent.
   void add(const std::string& name, std::uint64_t delta);
 
   /// Query one counter by exact name.
@@ -40,12 +52,15 @@ class CounterRegistry {
 
   /// Flat JSON object, one key per counter.
   void dump_json(std::FILE* out) const;
-  std::string json() const;
+  /// The same object as a string; with `only` set, just the counters of that
+  /// class (json(CounterClass::kModeled) is the replay-comparable snapshot).
+  std::string json(std::optional<CounterClass> only = std::nullopt) const;
 
  private:
   struct Entry {
     std::string name;
     std::uint64_t value = 0;
+    CounterClass cls = CounterClass::kModeled;
   };
   Entry* find(const std::string& name);
   const Entry* find(const std::string& name) const;

@@ -172,7 +172,7 @@ std::string run_amo_kill(KillSite site) {
   EXPECT_EQ(machine.failed_ranks(), std::vector<int>{1});
   const CounterRegistry counters = collect_counters(machine);
   EXPECT_EQ(counters.get("fault.injected.kills").value(), 1u);
-  return counters.json();
+  return counters.json(CounterClass::kModeled);
 }
 
 TEST(AmoKillSiteTest, KthAmoIssueKillsTheVictim) {

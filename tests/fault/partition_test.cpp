@@ -16,8 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -27,6 +30,7 @@
 #include "collectives/collectives.hpp"
 #include "collectives/policy.hpp"
 #include "collectives/shrink.hpp"
+#include "machine/fiber.hpp"
 #include "trace/collect.hpp"
 #include "xbrtime/rma.hpp"
 #include "xbrtime/runtime.hpp"
@@ -81,7 +85,7 @@ struct EscalationDigest {
   std::vector<std::vector<int>> majorities;  // per partitioned world rank
   std::vector<int> failed_ranks;
   int n_alive = 0;
-  std::string counters;
+  std::string counters;  // modeled-class counter snapshot
 
   bool operator==(const EscalationDigest& o) const {
     return attempts == o.attempts && peer == o.peer && link_a == o.link_a &&
@@ -140,7 +144,7 @@ EscalationDigest escalation_run() {
 
   d.failed_ranks = machine.failed_ranks();
   d.n_alive = machine.n_alive();
-  d.counters = collect_counters(machine).json();
+  d.counters = collect_counters(machine).json(CounterClass::kModeled);
   return d;
 }
 
@@ -217,7 +221,7 @@ struct QuorumDigest {
   std::vector<std::vector<int>> majorities;  // per partitioned world rank
   std::vector<int> failed_ranks;
   int n_alive = 0;
-  std::string counters;
+  std::string counters;  // modeled-class counter snapshot
 
   bool operator==(const QuorumDigest& o) const {
     return rosters == o.rosters && reduced == o.reduced &&
@@ -313,7 +317,7 @@ QuorumDigest quorum_run() {
 
   d.failed_ranks = machine.failed_ranks();
   d.n_alive = machine.n_alive();
-  d.counters = collect_counters(machine).json();
+  d.counters = collect_counters(machine).json(CounterClass::kModeled);
   return d;
 }
 
@@ -358,6 +362,101 @@ TEST(PartitionQuorumTest, PartitionScenarioIsBitIdenticalOnRepeat) {
   EXPECT_TRUE(first == second)
       << "same scripted partition, different books;\nfirst:\n"
       << first.counters << "\nsecond:\n" << second.counters;
+}
+
+TEST(PartitionQuorumTest, OrphanDealIsFixedByTheDecisionNotTheUnwinds) {
+  // The decision excludes the minority at once, but Machine::run marks a
+  // minority rank failed only when its fiber unwinds — at a host-dependent
+  // moment. Holding every minority rank until the whole majority has
+  // finished xbr_restore pins the latest possible unwind: the deal must
+  // still cover all 16 excluded ranks, each on exactly one survivor.
+  constexpr int kPes = 64;
+  constexpr int kMajority = 48;  // ranks [0, 47]; [48, 63] are cut off
+  constexpr int kMinority = kPes - kMajority;
+  constexpr std::size_t kElems = 64;
+  constexpr std::uint64_t kRankBytes = 2 * kElems * sizeof(std::uint64_t);
+  FaultConfig fc;
+  PartitionSpec p;
+  p.lo = kMajority;
+  p.hi = kPes - 1;
+  p.at = 1;
+  fc.partitions.push_back(p);
+  fc.barrier_timeout_ms = 60000;
+  fc.agree_timeout_ms = 60000;
+  Machine machine(config(kPes, fc));
+
+  std::atomic<int> restored{0};
+  std::vector<std::vector<int>> dealt(kPes);  // orphan owners, per survivor
+  std::vector<std::uint64_t> dealt_bytes(kPes, 0);
+  std::vector<int> team_rank(kPes, -1);
+  std::vector<int> held(kPes, 0);
+
+  machine.run([&](PeContext& pe) {
+    xbrtime_init();
+    auto* data = static_cast<std::uint64_t*>(
+        xbrtime_malloc(kElems * sizeof(std::uint64_t)));
+    auto* scratch = static_cast<std::uint64_t*>(
+        xbrtime_malloc(kElems * sizeof(std::uint64_t)));
+    for (std::size_t i = 0; i < kElems; ++i) data[i] = pattern(pe.rank(), i);
+    xbr_checkpoint();
+
+    const auto me = static_cast<std::size_t>(pe.rank());
+    try {
+      xbr_put(scratch, data, kElems, 1, (pe.rank() + 1) % kPes);
+      xbrtime_barrier();
+    } catch (const RmaRetriesExhaustedError&) {
+    } catch (const PeFailedError&) {
+    }
+
+    std::exception_ptr partitioned;
+    try {
+      auto team = xbr_team_shrink();
+      const RestoreReport rep = xbr_restore(*team);
+      team_rank[me] = team->rank();
+      for (const OrphanShard& shard : rep.orphans) {
+        if (dealt[me].empty() || dealt[me].back() != shard.world_rank) {
+          dealt[me].push_back(shard.world_rank);
+        }
+      }
+      dealt_bytes[me] = rep.orphan_bytes;
+      restored.fetch_add(1);
+      return;
+    } catch (const PartitionedError&) {
+      partitioned = std::current_exception();
+    }
+    // Stay alive, and so off the failure roster, until the majority's
+    // restore is over; then unwind as the minority must. The wait sits
+    // outside the handler because the scheduler does not carry a thread's
+    // caught-exception stack across fiber switches, so a bare `throw;` after
+    // a yield inside the handler would find no active exception.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (restored.load() < kMajority &&
+           std::chrono::steady_clock::now() < deadline) {
+      FiberScheduler::yield_waiting();
+    }
+    held[me] = restored.load() == kMajority ? 1 : 0;
+    std::rethrow_exception(partitioned);
+  });
+
+  // Every survivor computed the same deal: excluded rank 48 + t landed on
+  // team rank t, and on no other survivor.
+  std::uint64_t dealt_total = 0;
+  for (int wr = 0; wr < kMajority; ++wr) {
+    const auto i = static_cast<std::size_t>(wr);
+    EXPECT_EQ(team_rank[i], wr);
+    const std::vector<int> expect =
+        wr < kMinority ? std::vector<int>{kMajority + wr} : std::vector<int>{};
+    EXPECT_EQ(dealt[i], expect) << "world rank " << wr;
+    dealt_total += dealt_bytes[i];
+  }
+  for (int wr = kMajority; wr < kPes; ++wr) {
+    EXPECT_EQ(held[static_cast<std::size_t>(wr)], 1)
+        << "minority rank " << wr << " unwound before the majority restored";
+  }
+  EXPECT_EQ(dealt_total, kMinority * kRankBytes);
+  EXPECT_EQ(collect_counters(machine).get("recovery.orphaned_bytes").value(),
+            kMinority * kRankBytes);
 }
 
 TEST(PartitionQuorumTest, EvenSplitReachesNoQuorumAndEveryoneUnwinds) {

@@ -103,7 +103,7 @@ TEST(ResilienceTest, IdenticalSeedsReplayIdentically) {
     machine.run([&](PeContext& pe) { pingpong_body(pe, &ok); });
     EXPECT_TRUE(ok);
     *cycles = machine.max_cycles();
-    return collect_counters(machine).json();
+    return collect_counters(machine).json(CounterClass::kModeled);
   };
   std::uint64_t cycles_a = 0;
   std::uint64_t cycles_b = 0;

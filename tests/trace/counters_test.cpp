@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "json_checker.hpp"
 #include "trace/collect.hpp"
 #include "trace/counters.hpp"
@@ -53,6 +58,22 @@ TEST(CounterRegistryTest, EmptyJsonIsValid) {
   const auto doc = testjson::parse(CounterRegistry{}.json());
   ASSERT_NE(doc, nullptr);
   EXPECT_TRUE(doc->object().empty());
+}
+
+TEST(CounterRegistryTest, ClassedJsonKeepsOnlyThatClassInOrder) {
+  CounterRegistry reg;
+  reg.set("net.bytes", 9);
+  reg.set("sched.naps", 5, CounterClass::kHost);
+  reg.add("olb.hits", 2);
+  const auto modeled = testjson::parse(reg.json(CounterClass::kModeled));
+  ASSERT_NE(modeled, nullptr);
+  EXPECT_EQ(modeled->object().size(), 2u);
+  EXPECT_EQ(modeled->get("sched.naps"), nullptr);
+  EXPECT_EQ(reg.json(CounterClass::kModeled),
+            "{\n  \"net.bytes\": 9,\n  \"olb.hits\": 2\n}\n");
+  EXPECT_EQ(reg.json(CounterClass::kHost), "{\n  \"sched.naps\": 5\n}\n");
+  // The unfiltered dump is unchanged by classes.
+  EXPECT_EQ(testjson::parse(reg.json())->object().size(), 3u);
 }
 
 class CollectCountersTest : public ::testing::Test {
@@ -163,6 +184,31 @@ TEST_F(CollectCountersTest, TracingOffStillCollectsCounters) {
   EXPECT_EQ(reg.get("trace.enabled"), 0u);
   EXPECT_EQ(reg.get("trace.recorded"), 0u);
   EXPECT_EQ(*reg.get("net.messages"), 24u);
+}
+
+TEST_F(CollectCountersTest, ModeledSnapshotIsEverythingButHostScheduler) {
+  // Replay checks compare json(CounterClass::kModeled); pin its contents so
+  // a counter cannot drop out of them unnoticed. Exactly the four host
+  // scheduler counters are excluded.
+  Machine machine(config());
+  run_workload(machine);
+  const CounterRegistry reg = collect_counters(machine);
+  const std::set<std::string> host{"sched.workers", "sched.switches",
+                                   "sched.yields_waiting", "sched.naps"};
+  std::vector<std::string> expect;
+  for (const std::string& name : reg.names()) {
+    if (host.count(name) == 0) expect.push_back(name);
+  }
+  EXPECT_EQ(expect.size() + host.size(), reg.size());
+
+  std::string error;
+  const auto doc = testjson::parse(reg.json(CounterClass::kModeled), &error);
+  ASSERT_NE(doc, nullptr) << error;
+  std::vector<std::string> got;
+  for (const auto& [name, value] : doc->object()) got.push_back(name);
+  std::sort(expect.begin(), expect.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expect);
 }
 
 }  // namespace
