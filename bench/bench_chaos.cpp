@@ -30,6 +30,7 @@
 #include "collectives/policy.hpp"
 #include "collectives/shrink.hpp"
 #include "common/cli.hpp"
+#include "common/strfmt.hpp"
 #include "trace/collect.hpp"
 #include "xbrtime/rma.hpp"
 #include "xbrtime/runtime.hpp"
@@ -235,8 +236,9 @@ int main(int argc, char** argv) {
         const char* site = k.site == xbgas::KillSite::kBarrier ? "barrier"
                            : k.site == xbgas::KillSite::kRma   ? "rma"
                                                                : "agree";
-        plan += (plan.empty() ? "" : ",") + std::to_string(k.rank) + ":" +
-                site + ":" + std::to_string(k.at);
+        if (!plan.empty()) plan += ',';
+        plan += xbgas::strfmt("%d:%s:%llu", k.rank, site,
+                              static_cast<unsigned long long>(k.at));
       }
       const RunStats s =
           run_once(config, rounds, elems, args, /*observe=*/false);

@@ -46,6 +46,7 @@
 #include "benchlib/options.hpp"
 #include "benchlib/zipf.hpp"
 #include "common/cli.hpp"
+#include "common/strfmt.hpp"
 #include "machine/machine.hpp"
 #include "serving/client.hpp"
 #include "trace/collect.hpp"
@@ -395,8 +396,9 @@ std::string plan_string(const std::vector<xbgas::KillSpec>& kills) {
     const char* site = k.site == xbgas::KillSite::kBarrier ? "barrier"
                        : k.site == xbgas::KillSite::kRma   ? "rma"
                                                            : "agree";
-    plan += (plan.empty() ? "" : ",") + std::to_string(k.rank) + ":" + site +
-            ":" + std::to_string(k.at);
+    if (!plan.empty()) plan += ',';
+    plan += xbgas::strfmt("%d:%s:%llu", k.rank, site,
+                          static_cast<unsigned long long>(k.at));
   }
   return plan;
 }

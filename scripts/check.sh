@@ -54,8 +54,8 @@
 #  18. ThreadSanitizer pass (-DXBGAS_SANITIZE=thread) over the concurrency-
 #      heavy suites: machine (incl. the fiber scheduler), trace, fault, san,
 #      nbi/write-combining, recovery, serving, scaling, partition/
-#      unreachable, and the collectives conformance sweep (blocking and
-#      nbi axes)
+#      unreachable, the per-PE fabric accounting (NetworkModel), and the
+#      collectives conformance sweep (blocking and nbi axes)
 #
 # Usage: scripts/check.sh [build-dir]   (default: build; the ASan and TSan
 # stages use <build-dir>-asan and <build-dir>-tsan)
@@ -382,12 +382,12 @@ cmake -B "$BUILD-asan" -S . -DXBGAS_SANITIZE=address -DXBGAS_WERROR=ON \
 cmake --build "$BUILD-asan" -j
 ctest --test-dir "$BUILD-asan" --output-on-failure -j "$(nproc)"
 
-echo "== [18/18] TSan pass (machine + sched + trace + fault + san + nbi + recovery + serving + conformance + scaling) =="
+echo "== [18/18] TSan pass (machine + sched + trace + fault + san + nbi + recovery + serving + conformance + scaling + net model) =="
 cmake -B "$BUILD-tsan" -S . -DXBGAS_SANITIZE=thread -DXBGAS_WERROR=ON \
     -DXBGAS_BUILD_BENCH=OFF -DXBGAS_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD-tsan" -j
 ctest --test-dir "$BUILD-tsan" \
-    -R '(machine|Machine|Barrier|Sched|trace|fault|San|Nonblocking|Nbi|WriteCombiner|Conformance|Hierarch|Knomial|Tuner|Agree|Shrink|Checkpoint|Recovery|recovery|Serving|serving|Zipf|Scaling|Partition|Unreachable|LinkFaults)' \
+    -R '(machine|Machine|Barrier|Sched|trace|fault|San|Nonblocking|Nbi|WriteCombiner|Conformance|Hierarch|Knomial|Tuner|Agree|Shrink|Checkpoint|Recovery|recovery|Serving|serving|Zipf|Scaling|Partition|Unreachable|LinkFaults|NetworkModel)' \
     --output-on-failure -j "$(nproc)"
 
 echo "== all checks passed =="

@@ -16,7 +16,10 @@ namespace {
 // each) but must share one rendezvous barrier. This registry hands every
 // member of the same (machine, start, stride, size) active set the same
 // ClockSyncBarrier; the custom deleter unregisters and evicts it when the
-// last member's Team is destroyed.
+// last member's Team is destroyed. Between the last release and the
+// deleter taking the lock, a member on another worker may already have
+// registered a fresh barrier under the same key; the deleter must leave
+// that entry alone or the members split across two barriers.
 
 using TeamKey = std::tuple<Machine*, int, int, int>;
 
@@ -55,7 +58,11 @@ std::shared_ptr<ClockSyncBarrier> acquire_barrier(Machine& machine, int start,
         machine.unregister_barrier(b);
         {
           const std::lock_guard<std::mutex> inner(g_registry_mutex);
-          g_registry.erase(key);
+          // b's own entry is expired by now; a live one names a successor.
+          if (auto it = g_registry.find(key);
+              it != g_registry.end() && it->second.expired()) {
+            g_registry.erase(it);
+          }
         }
         delete b;
       });

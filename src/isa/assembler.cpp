@@ -31,10 +31,10 @@ const std::map<std::string, unsigned>& abi_names() {
         {"zero", 0}, {"ra", 1}, {"sp", 2},  {"gp", 3},
         {"tp", 4},   {"fp", 8}, {"s0", 8},  {"s1", 9},
     };
-    for (unsigned i = 0; i <= 2; ++i) m["t" + std::to_string(i)] = 5 + i;
-    for (unsigned i = 3; i <= 6; ++i) m["t" + std::to_string(i)] = 28 + i - 3;
-    for (unsigned i = 0; i <= 7; ++i) m["a" + std::to_string(i)] = 10 + i;
-    for (unsigned i = 2; i <= 11; ++i) m["s" + std::to_string(i)] = 18 + i - 2;
+    for (unsigned i = 0; i <= 2; ++i) m[strfmt("t%u", i)] = 5 + i;
+    for (unsigned i = 3; i <= 6; ++i) m[strfmt("t%u", i)] = 28 + i - 3;
+    for (unsigned i = 0; i <= 7; ++i) m[strfmt("a%u", i)] = 10 + i;
+    for (unsigned i = 2; i <= 11; ++i) m[strfmt("s%u", i)] = 18 + i - 2;
     return m;
   }();
   return kAbi;

@@ -1,9 +1,11 @@
 #include "machine/fiber.hpp"
 
+#include <cxxabi.h>
 #include <ucontext.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <exception>
 #include <thread>
 
@@ -28,6 +30,18 @@ namespace xbgas {
 
 namespace detail {
 
+/// A copy of the C++ runtime's per-thread exception state
+/// (`__cxa_eh_globals`, Itanium C++ ABI layout): the stack of exceptions
+/// currently caught and the count std::uncaught_exceptions() reports. A
+/// fiber that yields inside a catch handler, or during unwinding, must take
+/// this state with it; left on the worker thread, another fiber's `throw;`
+/// or end-of-handler would act on it. The runtime only forward-declares the
+/// struct, so the state is moved as bytes.
+struct EhState {
+  void* caught_exceptions = nullptr;
+  unsigned int uncaught_exceptions = 0;
+};
+
 struct Fiber {
   FiberScheduler* sched = nullptr;
   std::function<void()> body;
@@ -44,6 +58,8 @@ struct Fiber {
   std::uint64_t poll_count = 0;
   std::uint64_t inject_rng = 0;  ///< splitmix64 state for yield injection
   std::exception_ptr uncaught;
+  /// The fiber's exception state while it is switched out.
+  EhState eh;
 
   /// ASan fake-stack handle saved while this fiber is switched out, and the
   /// worker stack to announce when switching back (captured on each landing
@@ -76,9 +92,19 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 }
 
 /// Worker -> fiber. Returns when the fiber yields or finishes.
+///
+/// The thread's exception state is swapped here, on the worker side of both
+/// switch points: the worker context never migrates, so this function runs
+/// on one thread before and after swapcontext and the (const-attributed)
+/// __cxa_get_globals lookup stays valid across the switch. The fiber's own
+/// side could be resumed on another thread.
 void switch_worker_to_fiber(WorkerState& w, Fiber& f) {
   w.current = &f;
   t_fiber = &f;
+  void* const eh = abi::__cxa_get_globals();
+  EhState worker_eh;
+  std::memcpy(&worker_eh, eh, sizeof worker_eh);
+  std::memcpy(eh, &f.eh, sizeof f.eh);
 #if defined(XBGAS_FIBER_ASAN)
   __sanitizer_start_switch_fiber(&w.asan_fake, f.stack.get(), f.stack_size);
 #endif
@@ -89,6 +115,8 @@ void switch_worker_to_fiber(WorkerState& w, Fiber& f) {
 #if defined(XBGAS_FIBER_ASAN)
   __sanitizer_finish_switch_fiber(w.asan_fake, nullptr, nullptr);
 #endif
+  std::memcpy(&f.eh, eh, sizeof f.eh);
+  std::memcpy(eh, &worker_eh, sizeof worker_eh);
   t_fiber = nullptr;
   w.current = nullptr;
 }

@@ -33,6 +33,11 @@
 //  * Fibers may migrate between workers; per-PE state therefore lives in
 //    PeContext (reached via current_user_data()), never in thread_locals.
 //
+//  * A fiber may yield inside a catch handler or while unwinding. The C++
+//    runtime's per-thread exception state (caught-exception stack and
+//    uncaught count) is swapped in and out with the fiber, so `throw;`
+//    rethrows the fiber's own exception on whichever worker it resumes.
+//
 // yield() means "I made progress, give others a turn" (cooperative time
 // slice); yield_waiting() means "I am blocked on a condition somebody else
 // must change". The distinction drives the idle backoff: when every live

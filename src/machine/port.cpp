@@ -52,9 +52,8 @@ std::byte* MachinePort::translate(std::uint64_t object_id, std::uint64_t addr,
   XBGAS_CHECK(shared_off + width <= entry->segment_size,
               "remote access out of bounds of the shared segment");
 
-  *cycles = is_store ? net_.put_cost(rank_, entry->pe, width)
-                     : net_.get_cost(rank_, entry->pe, width);
-  net_.record(is_store, width, rank_, entry->pe);
+  *cycles = net_.charge(is_store ? NetOp::kPut : NetOp::kGet, rank_,
+                        entry->pe, width);
   return entry->segment_base + shared_off;
 }
 

@@ -37,12 +37,20 @@ NetworkModel::NetworkModel(std::unique_ptr<Topology> topology,
   XBGAS_CHECK(params_.link_bytes_per_cycle > 0 &&
                   params_.fabric_bytes_per_cycle > 0,
               "bandwidths must be positive");
+  shards_ = std::vector<Shard>(static_cast<std::size_t>(topology_->size()));
 }
 
 namespace {
 std::uint64_t serialization_cycles(std::size_t bytes, double bytes_per_cycle) {
   return static_cast<std::uint64_t>(
       std::ceil(static_cast<double>(bytes) / bytes_per_cycle));
+}
+
+/// Single-writer increment: only the owning PE stores to its shard, so a
+/// relaxed load + store replaces a locked read-modify-write.
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t delta) {
+  counter.store(counter.load(std::memory_order_relaxed) + delta,
+                std::memory_order_relaxed);
 }
 }  // namespace
 
@@ -176,58 +184,79 @@ std::vector<std::pair<int, int>> LinkFaults::down_pairs() const {
   return out;
 }
 
+std::uint64_t NetworkModel::message_serialization(std::size_t bytes) const {
+  return serialization_cycles(bytes + params_.message_header_bytes,
+                              params_.link_bytes_per_cycle);
+}
+
 std::uint64_t NetworkModel::degraded_penalty_cycles(std::size_t bytes) const {
-  const std::uint64_t ser = serialization_cycles(
-      bytes + params_.message_header_bytes, params_.link_bytes_per_cycle);
+  const std::uint64_t ser = message_serialization(bytes);
   const double factor = link_faults_.degraded_beta_factor();
   const auto extra = static_cast<std::uint64_t>(
       std::ceil(static_cast<double>(ser) * (factor - 1.0)));
   return extra + link_faults_.degraded_alpha_cycles();
 }
 
+std::uint64_t NetworkModel::latency(std::uint64_t legs, int hops,
+                                    std::uint64_t ser) const {
+  // A get is request traversal + remote access + response traversal
+  // carrying the payload: two injections and two walks of the hop path.
+  return params_.olb_lookup_cycles + legs * params_.injection_cycles +
+         legs * static_cast<std::uint64_t>(hops) * params_.per_hop_cycles +
+         ser + params_.remote_mem_cycles;
+}
+
 std::uint64_t NetworkModel::put_cost(int src_pe, int dst_pe,
                                      std::size_t bytes) const {
-  const int h = topology_->hops(src_pe, dst_pe);
-  return params_.olb_lookup_cycles + params_.injection_cycles +
-         static_cast<std::uint64_t>(h) * params_.per_hop_cycles +
-         serialization_cycles(bytes + params_.message_header_bytes,
-                              params_.link_bytes_per_cycle) +
-         params_.remote_mem_cycles;
+  return latency(1, topology_->hops(src_pe, dst_pe),
+                 message_serialization(bytes));
 }
 
 std::uint64_t NetworkModel::get_cost(int src_pe, int dst_pe,
                                      std::size_t bytes) const {
-  const int h = topology_->hops(src_pe, dst_pe);
-  // Request traversal + remote access + response traversal carrying payload.
-  return params_.olb_lookup_cycles + 2 * params_.injection_cycles +
-         std::uint64_t{2} * static_cast<std::uint64_t>(h) * params_.per_hop_cycles +
-         serialization_cycles(bytes + params_.message_header_bytes,
-                              params_.link_bytes_per_cycle) +
-         params_.remote_mem_cycles;
+  return latency(2, topology_->hops(src_pe, dst_pe),
+                 message_serialization(bytes));
 }
 
-void NetworkModel::record(bool is_put, std::size_t bytes, int src_pe,
-                          int dst_pe) {
+std::uint64_t NetworkModel::charge(NetOp op, int src_pe, int dst_pe,
+                                   std::size_t bytes) {
+  // hops() validates both endpoints before the shard is indexed.
+  const int h = topology_->hops(src_pe, dst_pe);
+  const std::uint64_t ser = message_serialization(bytes);
+  const bool get = op != NetOp::kPut;  // a get, or the AMO's read
+  const bool put = op != NetOp::kGet;  // a put, or the AMO's write-back
+  const std::uint64_t messages = std::uint64_t{get} + std::uint64_t{put};
+  Shard& shard = shards_[static_cast<std::size_t>(src_pe)];
+  bump(shard.messages, messages);
   // Fabric occupancy counts payload plus per-message protocol overhead.
-  phase_bytes_.fetch_add(bytes + params_.message_header_bytes,
-                         std::memory_order_relaxed);
-  phase_messages_.fetch_add(1, std::memory_order_relaxed);
-  total_messages_.fetch_add(1, std::memory_order_relaxed);
-  total_bytes_.fetch_add(bytes + params_.message_header_bytes,
-                         std::memory_order_relaxed);
-  (is_put ? total_puts_ : total_gets_).fetch_add(1, std::memory_order_relaxed);
-  if (src_pe != dst_pe) {
-    total_hops_.fetch_add(
-        static_cast<std::uint64_t>(topology_->hops(src_pe, dst_pe)),
-        std::memory_order_relaxed);
+  bump(shard.bytes, messages * (bytes + params_.message_header_bytes));
+  bump(shard.gets, std::uint64_t{get});
+  bump(shard.puts, std::uint64_t{put});
+  bump(shard.hops, messages * static_cast<std::uint64_t>(h));
+  return (get ? latency(2, h, ser) : 0) + (put ? latency(1, h, ser) : 0);
+}
+
+NetTotals NetworkModel::sum_shards() const {
+  NetTotals sum;
+  for (const Shard& s : shards_) {
+    sum.messages += s.messages.load(std::memory_order_relaxed);
+    sum.bytes += s.bytes.load(std::memory_order_relaxed);
+    sum.puts += s.puts.load(std::memory_order_relaxed);
+    sum.gets += s.gets.load(std::memory_order_relaxed);
+    sum.hops += s.hops.load(std::memory_order_relaxed);
   }
+  return sum;
 }
 
 std::uint64_t NetworkModel::reconcile_phase(
     std::uint64_t max_participant_cycles, int n_participants) {
-  const std::uint64_t drained = phase_bytes_.exchange(0, std::memory_order_relaxed);
-  const std::uint64_t drained_msgs =
-      phase_messages_.exchange(0, std::memory_order_relaxed);
+  // Every writer is parked in the barrier, so the sums are the phase's
+  // exact traffic on top of the snapshot taken when it opened.
+  const NetTotals now = sum_shards();
+  const std::uint64_t drained = now.bytes - phase_base_bytes_;
+  const std::uint64_t drained_msgs = now.messages - phase_base_messages_;
+  phase_base_bytes_ = now.bytes;
+  phase_base_messages_ = now.messages;
   const std::uint64_t fabric_done =
       phase_anchor_ +
       serialization_cycles(drained, params_.fabric_bytes_per_cycle) +
@@ -236,10 +265,9 @@ std::uint64_t NetworkModel::reconcile_phase(
     // The phase could not end when the slowest PE arrived: the shared fabric
     // was still draining. This is the §5 saturation signal the counters
     // surface as net.stall_cycles.
-    total_stall_cycles_.fetch_add(fabric_done - max_participant_cycles,
-                                  std::memory_order_relaxed);
+    stall_cycles_ += fabric_done - max_participant_cycles;
   }
-  total_phases_.fetch_add(1, std::memory_order_relaxed);
+  ++phases_;
   const std::uint64_t t =
       std::max(max_participant_cycles, fabric_done) +
       params_.barrier_cycles(n_participants);
@@ -248,31 +276,35 @@ std::uint64_t NetworkModel::reconcile_phase(
 }
 
 NetTotals NetworkModel::totals() const {
+  // Unsigned wrap-around keeps the difference exact across any base.
+  const NetTotals now = sum_shards();
   return NetTotals{
-      .messages = total_messages_.load(std::memory_order_relaxed),
-      .bytes = total_bytes_.load(std::memory_order_relaxed),
-      .puts = total_puts_.load(std::memory_order_relaxed),
-      .gets = total_gets_.load(std::memory_order_relaxed),
-      .hops = total_hops_.load(std::memory_order_relaxed),
-      .phases = total_phases_.load(std::memory_order_relaxed),
-      .stall_cycles = total_stall_cycles_.load(std::memory_order_relaxed),
+      .messages = now.messages - totals_base_.messages,
+      .bytes = now.bytes - totals_base_.bytes,
+      .puts = now.puts - totals_base_.puts,
+      .gets = now.gets - totals_base_.gets,
+      .hops = now.hops - totals_base_.hops,
+      .phases = phases_,
+      .stall_cycles = stall_cycles_,
   };
 }
 
+std::uint64_t NetworkModel::phase_bytes() const {
+  return sum_shards().bytes - phase_base_bytes_;
+}
+
 void NetworkModel::reset_phase() {
-  phase_bytes_.store(0, std::memory_order_relaxed);
-  phase_messages_.store(0, std::memory_order_relaxed);
+  const NetTotals now = sum_shards();
+  phase_base_bytes_ = now.bytes;
+  phase_base_messages_ = now.messages;
   phase_anchor_ = 0;
 }
 
 void NetworkModel::reset_totals() {
-  total_messages_.store(0, std::memory_order_relaxed);
-  total_bytes_.store(0, std::memory_order_relaxed);
-  total_puts_.store(0, std::memory_order_relaxed);
-  total_gets_.store(0, std::memory_order_relaxed);
-  total_hops_.store(0, std::memory_order_relaxed);
-  total_phases_.store(0, std::memory_order_relaxed);
-  total_stall_cycles_.store(0, std::memory_order_relaxed);
+  // The phase bases are untouched, so open-phase traffic survives.
+  totals_base_ = sum_shards();
+  phases_ = 0;
+  stall_cycles_ = 0;
 }
 
 }  // namespace xbgas

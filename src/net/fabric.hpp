@@ -13,10 +13,18 @@
 //
 //  2. Shared-fabric serialization, accounted per *phase* (the interval
 //     between runtime barriers). Every remote transaction also deposits its
-//     bytes into a phase accumulator; when a barrier reconciles clocks, the
-//     phase may not end before phase_anchor + phase_bytes/fabric_bw. This is
-//     what produces the aggregate-bandwidth saturation that bends the
-//     per-PE curves downward at 8 PEs in Figures 4 and 5.
+//     bytes into the issuing PE's traffic shard; when the world barrier
+//     reconciles clocks, the phase may not end before
+//     phase_anchor + phase_bytes/fabric_bw. This is what produces the
+//     aggregate-bandwidth saturation that bends the per-PE curves downward
+//     at 8 PEs in Figures 4 and 5.
+//
+// Traffic accounting is sharded per PE: each shard sits on its own cache
+// line and has exactly one writer, the issuing PE's fiber, which bumps it
+// with a relaxed load + store (no locked read-modify-write). Readers sum the
+// shards. The open phase is the difference between the current sums and the
+// snapshot taken at the last reconcile, which runs while every participant
+// is parked in the world barrier, so the drained integers are exact.
 
 #include <atomic>
 #include <cstdint>
@@ -177,6 +185,13 @@ struct NetTotals {
                                    ///< shared fabric was still serializing
 };
 
+/// Kind of one remote transfer attempt charged through NetworkModel::charge.
+enum class NetOp : std::uint8_t {
+  kPut,  ///< one-way put: one message
+  kGet,  ///< round-trip get: one message
+  kAmo,  ///< remote read-modify-write: a get + put pair, two messages
+};
+
 class NetworkModel {
  public:
   NetworkModel(std::unique_ptr<Topology> topology, const NetCostParams& params);
@@ -190,16 +205,19 @@ class NetworkModel {
   /// Latency charged to the issuing PE for a round-trip get of `bytes`.
   std::uint64_t get_cost(int src_pe, int dst_pe, std::size_t bytes) const;
 
-  /// Record one remote transaction for phase + lifetime accounting.
-  /// Thread-safe; commutative, so deterministic under any interleaving.
-  /// Passing the endpoints also accumulates the message's topology hop
-  /// count into the lifetime totals (src == dst records zero hops).
-  void record(bool is_put, std::size_t bytes, int src_pe = 0, int dst_pe = 0);
+  /// One attempt of a remote transfer: looks the hop count up once, records
+  /// the attempt's messages, bytes and hops into `src_pe`'s shard, and
+  /// returns its latency (put_cost, get_cost, or for kAmo their sum).
+  /// `src_pe` must be the calling PE: its shard has no other writer.
+  /// Commutative, so phase and lifetime totals are deterministic under any
+  /// interleaving.
+  std::uint64_t charge(NetOp op, int src_pe, int dst_pe, std::size_t bytes);
 
   /// Phase reconciliation — called by exactly one PE while all participants
-  /// are parked inside the barrier rendezvous. `max_participant_cycles` is
-  /// the max SimClock over participants. Returns the post-barrier clock
-  /// value every participant must adopt, then starts the next phase.
+  /// are parked inside the world barrier rendezvous.
+  /// `max_participant_cycles` is the max SimClock over participants. Returns
+  /// the post-barrier clock value every participant must adopt, then starts
+  /// the next phase.
   std::uint64_t reconcile_phase(std::uint64_t max_participant_cycles,
                                 int n_participants);
 
@@ -207,10 +225,9 @@ class NetworkModel {
   NetTotals totals() const;
 
   /// Bytes recorded in the current (open) phase.
-  std::uint64_t phase_bytes() const {
-    return phase_bytes_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t phase_bytes() const;
 
+  /// Zero the lifetime totals; traffic of the open phase stays in it.
   void reset_totals();
 
   /// Drop any recorded-but-unreconciled phase traffic and restart phase
@@ -232,20 +249,37 @@ class NetworkModel {
   std::uint64_t degraded_penalty_cycles(std::size_t bytes) const;
 
  private:
+  /// One PE's cumulative traffic. Single writer (that PE), any reader.
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> messages{0};
+    std::atomic<std::uint64_t> bytes{0};
+    std::atomic<std::uint64_t> puts{0};
+    std::atomic<std::uint64_t> gets{0};
+    std::atomic<std::uint64_t> hops{0};
+  };
+
+  /// Latency of one message exchange crossing the fabric `legs` times (1 for
+  /// a put, 2 for a get's request + response) over `hops` hops, with `ser`
+  /// cycles of payload serialization.
+  std::uint64_t latency(std::uint64_t legs, int hops, std::uint64_t ser) const;
+
+  /// Serialization cycles of one message carrying `bytes` of payload.
+  std::uint64_t message_serialization(std::size_t bytes) const;
+
+  /// Shard sums: messages, bytes, puts, gets and hops since construction.
+  NetTotals sum_shards() const;
+
   std::unique_ptr<Topology> topology_;
   NetCostParams params_;
+  std::vector<Shard> shards_;
 
-  std::atomic<std::uint64_t> phase_bytes_{0};
-  std::atomic<std::uint64_t> phase_messages_{0};
+  // Reader-side state, written only by reconcile_phase and the resets.
   std::uint64_t phase_anchor_ = 0;  // clock value when the phase opened
-
-  std::atomic<std::uint64_t> total_messages_{0};
-  std::atomic<std::uint64_t> total_bytes_{0};
-  std::atomic<std::uint64_t> total_puts_{0};
-  std::atomic<std::uint64_t> total_gets_{0};
-  std::atomic<std::uint64_t> total_hops_{0};
-  std::atomic<std::uint64_t> total_phases_{0};
-  std::atomic<std::uint64_t> total_stall_cycles_{0};
+  std::uint64_t phase_base_bytes_ = 0;     // shard sums when it opened
+  std::uint64_t phase_base_messages_ = 0;
+  NetTotals totals_base_{};  // shard sums at the last reset_totals
+  std::uint64_t phases_ = 0;
+  std::uint64_t stall_cycles_ = 0;
 
   LinkFaults link_faults_;
 };

@@ -344,9 +344,8 @@ void rma_transfer(void* dest, const void* src, std::size_t elem_size,
   for (;;) {
     ++attempt;
     (void)ctx.olb().lookup(object_id_for_pe(pe));
-    cycles += remote_is_dest ? net.put_cost(rank, pe, bytes)
-                             : net.get_cost(rank, pe, bytes);
-    net.record(remote_is_dest, bytes, rank, pe);
+    cycles += net.charge(remote_is_dest ? NetOp::kPut : NetOp::kGet, rank,
+                         pe, bytes);
 
     if (links_on) {
       // Scripted link plan, evaluated at this attempt's modeled time: a
@@ -527,9 +526,7 @@ std::uint64_t amo_cycles(const char* fn, const void* local_addr,
   for (;;) {
     ++attempt;
     (void)ctx.olb().lookup(object_id_for_pe(pe));
-    net.record(/*is_put=*/false, bytes, rank, pe);
-    net.record(/*is_put=*/true, bytes, rank, pe);
-    cycles += net.get_cost(rank, pe, bytes) + net.put_cost(rank, pe, bytes);
+    cycles += net.charge(NetOp::kAmo, rank, pe, bytes);
 
     if (links_on) {
       const LinkStatus ls = link_attempt_status(

@@ -162,8 +162,7 @@ void wc_flush_target(PeContext& ctx, int pe) {
   for (;;) {
     ++attempt;
     (void)ctx.olb().lookup(object_id_for_pe(pe));
-    cycles += net.put_cost(rank, pe, total);
-    net.record(/*is_put=*/true, total, rank, pe);
+    cycles += net.charge(NetOp::kPut, rank, pe, total);
 
     if (links_on) {
       const LinkStatus ls = link_attempt_status(

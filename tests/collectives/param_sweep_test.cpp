@@ -13,6 +13,7 @@
 #include "collectives/collectives.hpp"
 #include "collectives/composed.hpp"
 #include "collectives/ring.hpp"
+#include "common/strfmt.hpp"
 #include "helpers.hpp"
 
 namespace xbgas {
@@ -29,8 +30,8 @@ std::vector<PeRoot> all_pe_root_pairs() {
 }
 
 std::string pe_root_name(const ::testing::TestParamInfo<PeRoot>& info) {
-  return "n" + std::to_string(std::get<0>(info.param)) + "_root" +
-         std::to_string(std::get<1>(info.param));
+  return strfmt("n%d_root%d", std::get<0>(info.param),
+                std::get<1>(info.param));
 }
 
 class CollectiveSweep : public ::testing::TestWithParam<PeRoot> {};
@@ -144,7 +145,7 @@ TEST_P(ReduceOpSweep, EveryOperatorMatchesSerialFold) {
 INSTANTIATE_TEST_SUITE_P(PeCounts, ReduceOpSweep,
                          ::testing::Values(1, 2, 3, 5, 8, 9),
                          [](const ::testing::TestParamInfo<int>& tpi) {
-                           return "n" + std::to_string(tpi.param);
+                           return strfmt("n%d", tpi.param);
                          });
 
 // ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ TEST_P(AlgorithmEquivalence, TreeRingDeliverIdenticalResults) {
 INSTANTIATE_TEST_SUITE_P(PeCounts, AlgorithmEquivalence,
                          ::testing::Range(1, 10),
                          [](const ::testing::TestParamInfo<int>& tpi) {
-                           return "n" + std::to_string(tpi.param);
+                           return strfmt("n%d", tpi.param);
                          });
 
 }  // namespace

@@ -200,7 +200,9 @@ TEST(PolicyTest, DispatchCountersAndTraceEvents) {
   // Every PE recorded a coll_dispatch event encoding (kind, algo, bytes).
   int dispatch_events = 0;
   for (int r = 0; r < 4; ++r) {
-    for (const TraceEvent& ev : machine.tracer().ring(r)->snapshot()) {
+    const EventRing* ring = machine.tracer().ring(r);
+    ASSERT_NE(ring, nullptr);
+    for (const TraceEvent& ev : ring->snapshot()) {
       if (ev.kind != EventKind::kCollDispatch) continue;
       ++dispatch_events;
       EXPECT_EQ(ev.a >> 8, static_cast<std::uint64_t>(CollKind::kAllreduce));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "collectives/collectives.hpp"
@@ -168,6 +169,38 @@ TEST(TeamTest, SequentialTeamsReuseCleanly) {
       (void)pe;
     }
   });
+}
+
+// Same-key Teams back to back on several workers: the last member to drop
+// one team's barrier races the first member building the next (as
+// hier_reduce_all's reduce-then-broadcast over the same level teams does).
+// A deleter that evicted the successor's registry entry split the members
+// across two barriers; the watchdog turns that lost rendezvous into a
+// failure here instead of a hang. Each PE also holds many live singleton
+// teams, which lengthens the deleter's unregister step and so the window.
+TEST(TeamTest, BackToBackSameKeyTeamsShareOneRendezvous) {
+  constexpr int kPes = 8;
+  for (const int workers : {2, 4}) {
+    MachineConfig config = testing::test_config(kPes);
+    config.sched.workers = workers;
+    config.fault.barrier_timeout_ms = 5'000;
+    Machine machine(config);
+    EXPECT_NO_THROW(machine.run([&](PeContext& pe) {
+      xbrtime_init();
+      std::vector<std::unique_ptr<Team>> held;
+      for (int stride = 1; stride <= 500; ++stride) {
+        held.push_back(std::make_unique<Team>(pe.rank(), stride, 1));
+      }
+      for (int round = 0; round < 3000; ++round) {
+        { const Team team(0, 1, kPes); }
+        // Let the other members drop theirs before anyone re-acquires, so
+        // the last release and the next acquire run on different workers.
+        FiberScheduler::yield();
+      }
+      held.clear();
+      xbrtime_close();
+    })) << workers << " workers";
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "collectives/tuner.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/strfmt.hpp"
 #include "helpers.hpp"
 
 namespace xbgas {
@@ -22,6 +24,27 @@ MachineConfig tuner_base() {
 }
 
 const std::vector<std::size_t> kSizes = {64, 2048};
+
+/// A table file named for this process and test, removed when it goes out
+/// of scope, so concurrent copies of the binary never touch each other's
+/// files.
+class TableFile {
+ public:
+  explicit TableFile(const std::string& tag)
+      : path_(strfmt("tuner_%s_%s_%d.table",
+                     ::testing::UnitTest::GetInstance()
+                         ->current_test_info()
+                         ->name(),
+                     tag.c_str(), static_cast<int>(::getpid()))) {}
+  ~TableFile() { std::remove(path_.c_str()); }
+  TableFile(const TableFile&) = delete;
+  TableFile& operator=(const TableFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
@@ -54,7 +77,8 @@ TEST(TunerTest, SweepsEveryCandidateAndPicksWinners) {
 TEST(TunerTest, RoundTripPreservesDecisions) {
   const MachineConfig base = tuner_base();
   const TuneTable table = build_tune_table(base, kSizes);
-  const std::string path = "tuner_roundtrip.table";
+  const TableFile file("a");
+  const std::string& path = file.path();
   table.save(path);
 
   // Reload through the config surface, exactly as --coll-tune-table does.
@@ -85,24 +109,20 @@ TEST(TunerTest, RoundTripPreservesDecisions) {
   }
 
   // save(load(save(x))) is bytewise stable.
-  const std::string path2 = "tuner_roundtrip2.table";
-  TuneTable::load(path).save(path2);
-  EXPECT_EQ(slurp(path), slurp(path2));
-  std::remove(path.c_str());
-  std::remove(path2.c_str());
+  const TableFile file2("b");
+  TuneTable::load(path).save(file2.path());
+  EXPECT_EQ(slurp(path), slurp(file2.path()));
 }
 
 TEST(TunerTest, RunTwiceIsDeterministic) {
   const MachineConfig base = tuner_base();
   const TuneTable a = build_tune_table(base, kSizes);
   const TuneTable b = build_tune_table(base, kSizes);
-  const std::string pa = "tuner_det_a.table";
-  const std::string pb = "tuner_det_b.table";
-  a.save(pa);
-  b.save(pb);
-  EXPECT_EQ(slurp(pa), slurp(pb));
-  std::remove(pa.c_str());
-  std::remove(pb.c_str());
+  const TableFile fa("a");
+  const TableFile fb("b");
+  a.save(fa.path());
+  b.save(fb.path());
+  EXPECT_EQ(slurp(fa.path()), slurp(fb.path()));
 }
 
 TEST(TunerTest, MissFallsBackToModel) {
@@ -173,13 +193,12 @@ TEST(TunerTest, TreeAllgatherMeasuresWhatDispatchRuns) {
 }
 
 TEST(TunerTest, LoadRejectsMalformedTables) {
-  const std::string path = "tuner_bad.table";
+  const TableFile file("bad");
   {
-    std::ofstream out(path);
+    std::ofstream out(file.path());
     out << "not a tune table\n";
   }
-  EXPECT_THROW(TuneTable::load(path), Error);
-  std::remove(path.c_str());
+  EXPECT_THROW(TuneTable::load(file.path()), Error);
   EXPECT_THROW(TuneTable::load("does_not_exist.table"), Error);
 }
 

@@ -263,7 +263,9 @@ TEST(ResilienceTest, FaultEventsAppearInTrace) {
 
   int inject_events = 0;
   int retry_events = 0;
-  for (const TraceEvent& ev : machine.tracer().ring(0)->snapshot()) {
+  const EventRing* ring = machine.tracer().ring(0);
+  ASSERT_NE(ring, nullptr);
+  for (const TraceEvent& ev : ring->snapshot()) {
     inject_events += ev.kind == EventKind::kFaultInject ? 1 : 0;
     retry_events += ev.kind == EventKind::kRmaRetry ? 1 : 0;
   }

@@ -12,6 +12,7 @@
 
 #include "collectives/collectives.hpp"
 #include "collectives/composed.hpp"
+#include "common/strfmt.hpp"
 #include "collectives/ring.hpp"
 #include "common/rng.hpp"
 #include "xbrtime/rma.hpp"
@@ -153,7 +154,7 @@ TEST_P(StressTest, LongMixedCollectiveSequence) {
 
 INSTANTIATE_TEST_SUITE_P(PeCounts, StressTest, ::testing::Values(1, 2, 3, 5, 8),
                          [](const ::testing::TestParamInfo<int>& tpi) {
-                           return "n" + std::to_string(tpi.param);
+                           return strfmt("n%d", tpi.param);
                          });
 
 TEST(StressTest, DeterministicSimulatedTime) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
 #include <stdexcept>
 #include <vector>
 
@@ -135,6 +136,59 @@ TEST(SchedTest, FiberExceptionIsRethrownAfterAllFibersStop) {
   // first, then rethrows.
   EXPECT_EQ(completed.load(), 2);
 }
+
+// The C++ runtime keeps the caught-exception stack and the uncaught count
+// per thread. Fibers that sit in a handler (or in unwinding) across yields
+// must each keep their own: `throw;` rethrows the fiber's exception, and
+// std::uncaught_exceptions() sees only the fiber's own throws.
+class SchedExceptionStateTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SchedExceptionStateTest, EachFiberRethrowsItsOwnExceptionAfterYields) {
+  constexpr std::size_t kFibers = 4;
+  constexpr int kYields = 6;
+  SchedConfig cfg;
+  cfg.workers = GetParam();
+  FiberScheduler sched(cfg, static_cast<int>(kFibers));
+  std::vector<std::size_t> rethrown(kFibers, kFibers);
+  std::vector<int> uncaught_unwinding(kFibers, -1);
+  std::vector<int> uncaught_in_handler(kFibers, -1);
+
+  struct YieldWhileUnwinding {
+    int* seen;
+    ~YieldWhileUnwinding() {
+      for (int y = 0; y < kYields; ++y) FiberScheduler::yield();
+      *seen = std::uncaught_exceptions();
+    }
+  };
+
+  for (std::size_t i = 0; i < kFibers; ++i) {
+    sched.spawn(
+        [&, i] {
+          try {
+            try {
+              const YieldWhileUnwinding guard{&uncaught_unwinding[i]};
+              throw i;
+            } catch (std::size_t) {
+              for (int y = 0; y < kYields; ++y) FiberScheduler::yield();
+              uncaught_in_handler[i] = std::uncaught_exceptions();
+              throw;
+            }
+          } catch (std::size_t got) {
+            rethrown[i] = got;
+          }
+        },
+        nullptr);
+  }
+  sched.run();
+  for (std::size_t i = 0; i < kFibers; ++i) {
+    EXPECT_EQ(rethrown[i], i) << "fiber " << i;
+    EXPECT_EQ(uncaught_unwinding[i], 1) << "fiber " << i;
+    EXPECT_EQ(uncaught_in_handler[i], 0) << "fiber " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, SchedExceptionStateTest,
+                         ::testing::Values(1, 2, 4));
 
 TEST(SchedTest, RejectsUndersizedStacks) {
   SchedConfig cfg;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/error.hpp"
 #include "net/sim_clock.hpp"
 
@@ -63,9 +67,9 @@ TEST(NetworkModelTest, CostGrowsWithSizeAndDistance) {
 
 TEST(NetworkModelTest, RecordAccumulatesTotals) {
   auto model = make_model();
-  model.record(true, 100);
-  model.record(false, 50);
-  model.record(true, 1);
+  model.charge(NetOp::kPut, 0, 1, 100);
+  model.charge(NetOp::kGet, 0, 1, 50);
+  model.charge(NetOp::kPut, 0, 1, 1);
   const NetTotals t = model.totals();
   EXPECT_EQ(t.messages, 3u);
   EXPECT_EQ(t.puts, 2u);
@@ -85,11 +89,11 @@ TEST(NetworkModelTest, PhaseReconcileTakesMaxOfComputeAndFabric) {
 
   // Fabric-bound phase: 10k bytes at 1 B/cycle from anchor 0 -> ends at
   // 10000 even though PEs were computing for only 500 cycles.
-  model.record(true, 10'000);
+  model.charge(NetOp::kPut, 0, 1, 10'000);
   EXPECT_EQ(model.reconcile_phase(500, 4), 10'000u);
 
   // Compute-bound phase: little traffic, max clock dominates.
-  model.record(true, 10);
+  model.charge(NetOp::kPut, 0, 1, 10);
   EXPECT_EQ(model.reconcile_phase(50'000, 4), 50'000u);
 }
 
@@ -105,7 +109,7 @@ TEST(NetworkModelTest, PhaseAnchorAdvances) {
   const std::uint64_t t1 = model.reconcile_phase(100, 2);
   EXPECT_EQ(t1, 100u);
   // Next phase's fabric time is measured from t1, not from zero.
-  model.record(true, 1000);
+  model.charge(NetOp::kPut, 0, 1, 1000);
   EXPECT_EQ(model.reconcile_phase(t1 + 10, 2), t1 + 1000);
 }
 
@@ -120,7 +124,7 @@ TEST(NetworkModelTest, BarrierCostAppliedAfterReconcile) {
 
 TEST(NetworkModelTest, ResetPhaseDropsTraffic) {
   auto model = make_model();
-  model.record(true, 1 << 20);
+  model.charge(NetOp::kPut, 0, 1, 1 << 20);
   model.reset_phase();
   EXPECT_EQ(model.phase_bytes(), 0u);
   NetCostParams p = model.params();
@@ -129,11 +133,107 @@ TEST(NetworkModelTest, ResetPhaseDropsTraffic) {
 
 TEST(NetworkModelTest, ResetTotals) {
   auto model = make_model();
-  model.record(true, 10);
+  model.charge(NetOp::kPut, 0, 1, 10);
   model.reset_totals();
   const NetTotals t = model.totals();
   EXPECT_EQ(t.messages, 0u);
   EXPECT_EQ(t.bytes, 0u);
+}
+
+TEST(NetworkModelTest, ResetTotalsKeepsOpenPhaseTraffic) {
+  NetCostParams p;
+  p.fabric_bytes_per_cycle = 1.0;
+  p.fabric_message_cycles = 100;
+  p.message_header_bytes = 0;
+  p.injection_cycles = 0;
+  p.per_hop_cycles = 0;
+  auto model = make_model(p);
+  model.charge(NetOp::kPut, 0, 1, 5000);
+  model.charge(NetOp::kGet, 1, 2, 3000);
+  model.reset_totals();
+  EXPECT_EQ(model.totals().messages, 0u);
+  EXPECT_EQ(model.totals().bytes, 0u);
+  // The open phase still holds both messages and all 8000 bytes.
+  EXPECT_EQ(model.phase_bytes(), 8000u);
+  EXPECT_EQ(model.reconcile_phase(0, 1), 8000u + 2 * 100u);
+  EXPECT_EQ(model.phase_bytes(), 0u);
+  // Traffic after the reset counts from zero.
+  model.charge(NetOp::kAmo, 2, 3, 8);
+  EXPECT_EQ(model.totals().messages, 2u);
+  EXPECT_EQ(model.totals().bytes, 16u);
+  EXPECT_EQ(model.totals().phases, 1u);
+}
+
+TEST(NetworkModelTest, ChargeEqualsCostQueriesOnEveryTopology) {
+  for (const std::string topo :
+       {"flat", "ring", "torus", "hypercube", "cluster2x4", "cluster2x2_4x6"}) {
+    auto model = make_model(NetCostParams{}, topo, 8);
+    const Topology& t = model.topology();
+    for (int s = 0; s < 8; ++s) {
+      for (int d = 0; d < 8; ++d) {
+        if (s == d) continue;
+        const auto h = static_cast<std::uint64_t>(t.hops(s, d));
+        for (const std::size_t bytes : {1u, 8u, 4096u}) {
+          const std::string where = topo + " " + std::to_string(s) + "->" +
+                                    std::to_string(d) + " " +
+                                    std::to_string(bytes) + " B";
+          const NetTotals before = model.totals();
+          EXPECT_EQ(model.charge(NetOp::kPut, s, d, bytes),
+                    model.put_cost(s, d, bytes)) << where;
+          EXPECT_EQ(model.charge(NetOp::kGet, s, d, bytes),
+                    model.get_cost(s, d, bytes)) << where;
+          EXPECT_EQ(model.charge(NetOp::kAmo, s, d, bytes),
+                    model.get_cost(s, d, bytes) + model.put_cost(s, d, bytes))
+              << where;
+          // put + get + the AMO's get/put pair: four messages.
+          const NetTotals after = model.totals();
+          EXPECT_EQ(after.messages - before.messages, 4u) << where;
+          EXPECT_EQ(after.puts - before.puts, 2u) << where;
+          EXPECT_EQ(after.gets - before.gets, 2u) << where;
+          EXPECT_EQ(after.hops - before.hops, 4 * h) << where;
+          EXPECT_EQ(after.bytes - before.bytes,
+                    4 * (bytes + NetCostParams{}.message_header_bytes))
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(NetworkModelTest, PerPeShardsSumExactlyAcrossThreads) {
+  constexpr int kPes = 8;
+  constexpr std::uint64_t kOps = 20'000;
+  NetCostParams p;
+  p.fabric_bytes_per_cycle = 1.0;
+  p.fabric_message_cycles = 3;
+  p.message_header_bytes = 32;
+  auto model = make_model(p, "ring", kPes);
+  // Each thread is one PE and writes only its own shard, as PE fibers do.
+  // Every message carries 8 + 32 bytes; an AMO is two messages.
+  std::vector<std::thread> pes;
+  for (int pe = 0; pe < kPes; ++pe) {
+    pes.emplace_back([&model, pe] {
+      const int peer = (pe + 1) % kPes;
+      for (std::uint64_t i = 0; i < kOps; ++i) {
+        model.charge(i % 2 == 0 ? NetOp::kPut : NetOp::kAmo, pe, peer, 8);
+      }
+    });
+  }
+  for (std::thread& t : pes) t.join();
+  const std::uint64_t msgs = kPes * (kOps / 2) * 3;
+  const NetTotals t = model.totals();
+  EXPECT_EQ(t.messages, msgs);
+  EXPECT_EQ(t.bytes, msgs * 40);
+  EXPECT_EQ(t.puts, kPes * kOps);
+  EXPECT_EQ(t.gets, kPes * (kOps / 2));
+  EXPECT_EQ(t.hops, msgs);  // ring neighbours: one hop each
+  EXPECT_EQ(model.phase_bytes(), msgs * 40);
+  // The phase drains exactly: fabric time from anchor 0 covers every byte
+  // and every message, then the next phase starts empty.
+  const std::uint64_t want = msgs * 40 + msgs * 3 + p.barrier_cycles(kPes);
+  EXPECT_EQ(model.reconcile_phase(0, kPes), want);
+  EXPECT_EQ(model.phase_bytes(), 0u);
+  EXPECT_EQ(model.reconcile_phase(want, kPes), want + p.barrier_cycles(kPes));
 }
 
 TEST(NetworkModelTest, InvalidBandwidthRejected) {

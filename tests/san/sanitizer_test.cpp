@@ -522,8 +522,9 @@ TEST(SanTraceTest, ViolationEmitsTraceEvent) {
     xbrtime_close();
   });
   bool saw_violation = false;
-  ASSERT_NE(machine.tracer().ring(0), nullptr);
-  for (const TraceEvent& ev : machine.tracer().ring(0)->snapshot()) {
+  const EventRing* ring = machine.tracer().ring(0);
+  ASSERT_NE(ring, nullptr);
+  for (const TraceEvent& ev : ring->snapshot()) {
     if (ev.kind == EventKind::kSanViolation) {
       saw_violation = true;
       EXPECT_EQ(ev.a, static_cast<std::uint64_t>(
